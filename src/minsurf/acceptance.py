@@ -133,13 +133,6 @@ def _immersed(n: int):
     return immerse(_chart(n))
 
 
-def _plateau_mask(spec: GridSpec) -> np.ndarray:
-    """Nodes where the bump profile is exactly 1, shrunk by one stencil."""
-    h = max(spec.hx, spec.hy)
-    d = deform.point_distance(spec, _BUMP_CENTER)
-    return d <= _BUMP_R / 2.0 - 2.0 * h
-
-
 def _graph_samples():
     """The pinned moment-problem input: h(x) = 0.3 x (1 - x) on [0, 1]."""
     xs = np.linspace(0.0, 1.0, 4097)
@@ -293,7 +286,8 @@ def _05_shape_rate_vs_immersion():
         rate = variation.shape_rate(s, f)
         fd = variation.immersion_fd_rate(s, f, t=_FLOW_T, which="B")
         gap = np.abs((rate - fd).mat).max(axis=(-2, -1))
-        discs[n] = float(np.max(gap[_plateau_mask(s.spec)]))
+        plateau = deform.plateau_mask(s.spec, _BUMP_CENTER, _BUMP_R)
+        discs[n] = float(np.max(gap[plateau]))
         full[n] = float(np.max(gap[s.spec.interior_mask()]))
     shrink = discs[64] / discs[128]
     ok = discs[128] <= 1e-3 and shrink >= 3.5
@@ -472,7 +466,7 @@ def _11_flow_opens_curvatures():
     s = _chart(n)
     f = _bump(n)
     g = _immersed(n)
-    mask = _plateau_mask(s.spec)
+    mask = deform.plateau_mask(s.spec, _BUMP_CENTER, _BUMP_R)
     maxima = {}
     for t in _SWEEP:
         _, _, B = forms_from_immersion(normal_flow(g, f, t))

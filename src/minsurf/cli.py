@@ -31,8 +31,6 @@ EXIT_VERIFY = 1
 EXIT_DIVERGED = 2
 EXIT_USAGE = 64
 
-_SWEEP = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -128,6 +126,7 @@ def _add_surface_flags(p, nx=129, ny=128):
 def cmd_ode(args) -> int:
     import numpy as np
 
+    from .fields import _write_rows
     from .invariant_ode import (
         estimate_delta,
         first_integral_residual,
@@ -143,9 +142,8 @@ def cmd_ode(args) -> int:
 
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write("x,g,gp\n")
-            for row in zip(sol.xs, sol.g, sol.gp):
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+            _write_rows(fh, ["x", "g", "gp"],
+                           [np.column_stack([sol.xs, sol.g, sol.gp])])
 
     report = {
         "schema": SCHEMA,
@@ -306,7 +304,7 @@ def cmd_deform(args) -> int:
 def cmd_flow(args) -> int:
     import numpy as np
 
-    from .deform import build_point_f, point_distance
+    from .deform import build_point_f, plateau_mask
     from .geometry import principal_curvatures
     from .immersion import forms_from_immersion, immerse, normal_flow
 
@@ -319,8 +317,7 @@ def cmd_flow(args) -> int:
     _, _, B = forms_from_immersion(g2)
     pc = principal_curvatures(B)
     lam = pc.lambda_plus.values
-    h = max(s.spec.hx, s.spec.hy)
-    plateau = point_distance(s.spec, args.bump_center) <= args.bump_r / 2 - 2 * h
+    plateau = plateau_mask(s.spec, args.bump_center, args.bump_r)
     interior = s.spec.interior_mask()
     report = {
         "schema": SCHEMA,
@@ -374,17 +371,15 @@ def cmd_demo(args) -> int:
     top principal curvature leave 1 at unit rate."""
     import numpy as np
 
-    from .deform import build_point_f, point_distance
+    from .acceptance import _BUMP_CENTER, _BUMP_R, _SWEEP
+    from .deform import build_point_f, plateau_mask
     from .geometry import principal_curvatures
     from .immersion import forms_from_immersion, immerse, normal_flow
 
     fine = args.fine
     if fine % 2 or fine < 32:
         raise ValueError("--fine must be an even integer >= 32")
-    center = (0.0, 0.5)
-    r = 0.45
-
-    lam_center = {}
+    center, r = _BUMP_CENTER, _BUMP_R
     surfaces = {}
     for n in (fine // 2, fine):
         s = _invariant_surface(0.0, 1.0, n + 1, n, 1.0)
@@ -396,9 +391,7 @@ def cmd_demo(args) -> int:
         return principal_curvatures(B).lambda_plus.values
 
     # sweep on the fine grid: the bump plateau keeps lambda+ below 1
-    s_f, f_f, _ = surfaces[fine]
-    h = max(s_f.spec.hx, s_f.spec.hy)
-    plateau = point_distance(s_f.spec, center) <= r / 2 - 2 * h
+    plateau = plateau_mask(surfaces[fine][0].spec, center, r)
     node_f = (fine // 2, fine // 2)
     node_c = (fine // 4, fine // 4)
     sweep = {}
@@ -421,10 +414,9 @@ def cmd_demo(args) -> int:
 
     # measured slope of lambda+ in t at the center, and the sign flip for
     # t < 0 (the deformation direction matters)
-    slope = float((lam_plus(fine, t_ref)[node_f]
-                   - lam_plus(fine, -t_ref)[node_f]) / (2 * t_ref))
-    slope_ok = abs(slope + 1.0) <= 1e-2
     lam_neg = float(lam_plus(fine, -t_ref)[node_f])
+    slope = float((lam_f - lam_neg) / (2 * t_ref))
+    slope_ok = abs(slope + 1.0) <= 1e-2
     neg_ok = lam_neg > 1.0
 
     ok = plateau_ok and center_ok and slope_ok and neg_ok

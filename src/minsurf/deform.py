@@ -54,6 +54,7 @@ __all__ = [
     "smoothstep",
     "bump_profile",
     "point_distance",
+    "plateau_mask",
     "ZComponent",
     "GenericityVerdict",
     "DeformationProfile",
@@ -114,15 +115,14 @@ def bump_profile(d, r: float):
 
 def point_distance(spec: GridSpec, center) -> np.ndarray:
     """Distance from every grid node to a chart point, periodic-aware in y."""
-    cx, cy = float(center[0]), float(center[1])
     X, Y = spec.nodes()
-    dx = X - cx
-    if spec.periodic_y:
-        p = spec.period_y
-        dy = (Y - cy + p / 2) % p - p / 2
-    else:
-        dy = Y - cy
-    return np.hypot(dx, dy)
+    return np.hypot(X - float(center[0]), spec.wrap_dy(Y - float(center[1])))
+
+
+def plateau_mask(spec: GridSpec, center, r: float) -> np.ndarray:
+    """Nodes where the bump of radius r about center is exactly 1, shrunk by
+    two grid steps so that difference stencils there see only the plateau."""
+    return point_distance(spec, center) <= r / 2 - 2 * max(spec.hx, spec.hy)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +320,7 @@ def detect_z(s: SurfaceData, tol_z: float = TOL_Z_DEFAULT) -> list[ZComponent]:
             diam = float(np.hypot(spanx, spany))
         else:
             dx = raw[:, 0][:, None] - raw[:, 0][None, :]
-            dy = raw[:, 1][:, None] - raw[:, 1][None, :]
-            if spec.periodic_y:
-                p = spec.period_y
-                dy = (dy + p / 2) % p - p / 2
+            dy = spec.wrap_dy(raw[:, 1][:, None] - raw[:, 1][None, :])
             diam = float(np.max(np.hypot(dx, dy)))
         if diam <= 3 * h:
             center = raw.mean(axis=0)
@@ -408,11 +405,7 @@ def build_point_f(center, r: float, spec: GridSpec) -> ScalarField:
 
     X, Y = spec.nodes()
     dx = X - cx
-    if spec.periodic_y:
-        p = spec.period_y
-        dy = (Y - cy + p / 2) % p - p / 2
-    else:
-        dy = Y - cy
+    dy = spec.wrap_dy(Y - cy)
     d = np.hypot(dx, dy)
     vals = bump_profile(d, r) * (-(dx ** 2) + dy ** 2) / 2.0
     return ScalarField(spec, vals)
@@ -1142,10 +1135,7 @@ def _component_gap(c1: ZComponent, c2: ZComponent, spec: GridSpec) -> float:
     a = np.column_stack([spec.xs[c1.nodes[:, 0]], spec.ys[c1.nodes[:, 1]]])
     b = np.column_stack([spec.xs[c2.nodes[:, 0]], spec.ys[c2.nodes[:, 1]]])
     dx = a[:, 0][:, None] - b[:, 0][None, :]
-    dy = a[:, 1][:, None] - b[:, 1][None, :]
-    if spec.periodic_y:
-        p = spec.period_y
-        dy = (dy + p / 2) % p - p / 2
+    dy = spec.wrap_dy(a[:, 1][:, None] - b[:, 1][None, :])
     return float(np.min(np.hypot(dx, dy)))
 
 
@@ -1191,11 +1181,7 @@ def assemble_f(s: SurfaceData, components: Sequence[ZComponent],
             d = _polyline_distance(spec, c.points, c.closed)
             X, Y = spec.nodes()
             dxq = X - c.center[0]
-            if spec.periodic_y:
-                p = spec.period_y
-                dyq = (Y - c.center[1] + p / 2) % p - p / 2
-            else:
-                dyq = Y - c.center[1]
+            dyq = spec.wrap_dy(Y - c.center[1])
             quad = (-(dxq ** 2) + dyq ** 2) / 2.0
             total = total + bump_profile(d, r) * quad
     return ScalarField(spec, total)

@@ -8,8 +8,11 @@ Conventions used everywhere in the package:
     spec.periodic_y, in which case y_j + ny*hy is identified with y_j;
   * derivative helpers return full-grid arrays, second-order accurate in the
     interior (central) and at non-periodic edges (one-sided);
-  * CSV files carry the grid as a JSON comment in the first line and node
-    values at 17 significant digits, enough to round-trip float64 exactly.
+  * one CSV codec serves every gridded type: a "# " line with the grid as
+    JSON (sorted keys), a line of column names starting x,y, then one row
+    per node, j fastest, at 17 significant digits (float64 round-trips
+    exactly).  The reader checks the names, the row count, and x and y
+    against the header grid to 1e-6 of a grid step.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "diff1",
     "diff2",
     "laplacian",
-    "sup_interior",
 ]
 
 
@@ -71,6 +73,14 @@ class GridSpec:
         """Circumference ny*hy; only meaningful when periodic_y."""
         return self.ny * self.hy
 
+    def wrap_dy(self, dy):
+        """Minimum-image y offset in [-period/2, period/2] on a cylinder;
+        dy itself on a rectangle."""
+        if not self.periodic_y:
+            return dy
+        p = self.period_y
+        return (dy + p / 2) % p - p / 2
+
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Full coordinate arrays X, Y of shape (nx, ny)."""
         return np.meshgrid(self.xs, self.ys, indexing="ij")
@@ -107,10 +117,11 @@ class GridSpec:
         )
 
 
-def _as_grid_array(spec: GridSpec, values, name: str) -> np.ndarray:
+def _as_grid_array(values, shape: tuple, name: str) -> np.ndarray:
+    """Read-only float copy of per-node values, checked for shape and finiteness."""
     a = np.array(values, dtype=float, copy=True)
-    if a.shape != spec.shape:
-        raise ValueError(f"{name} has shape {a.shape}, grid wants {spec.shape}")
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, grid wants {shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     a.setflags(write=False)
@@ -125,7 +136,8 @@ class ScalarField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_grid_array(self.spec, self.values, "values"))
+        values = _as_grid_array(self.values, self.spec.shape, "values")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_function(cls, spec: GridSpec, fn: Callable) -> "ScalarField":
@@ -156,12 +168,12 @@ class ScalarField:
         return ScalarField(self.spec, -self.values)
 
     def to_csv(self, path) -> None:
-        _write_csv(path, self.spec, {"v": self.values})
+        _write_grid_csv(path, self.spec, ["v"], [self.values])
 
     @classmethod
     def from_csv(cls, path) -> "ScalarField":
-        spec, cols = _read_csv(path, ["v"])
-        return cls(spec, cols["v"])
+        spec, data = _read_grid_csv(path, ["v"])
+        return cls(spec, data.reshape(spec.shape))
 
 
 def _coerce(spec: GridSpec, other) -> np.ndarray | float:
@@ -184,13 +196,8 @@ class OperatorField:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        a = np.array(self.mat, dtype=float, copy=True)
-        if a.shape != (self.spec.nx, self.spec.ny, 2, 2):
-            raise ValueError(f"operator field has shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("operator field contains non-finite entries")
-        a.setflags(write=False)
-        object.__setattr__(self, "mat", a)
+        mat = _as_grid_array(self.mat, (*self.spec.shape, 2, 2), "operator field")
+        object.__setattr__(self, "mat", mat)
 
     @classmethod
     def from_components(cls, spec: GridSpec, a11, a12, a21, a22) -> "OperatorField":
@@ -281,17 +288,15 @@ class OperatorField:
             a = a[self.spec.interior_mask()]
         return float(np.max(a))
 
+    _CSV_NAMES = ("a11", "a12", "a21", "a22")  # mat[..., i, j] in C order
+
     def to_csv(self, path) -> None:
-        _write_csv(
-            path,
-            self.spec,
-            {"a11": self.a11, "a12": self.a12, "a21": self.a21, "a22": self.a22},
-        )
+        _write_grid_csv(path, self.spec, self._CSV_NAMES, [self.mat])
 
     @classmethod
     def from_csv(cls, path) -> "OperatorField":
-        spec, cols = _read_csv(path, ["a11", "a12", "a21", "a22"])
-        return cls.from_components(spec, cols["a11"], cols["a12"], cols["a21"], cols["a22"])
+        spec, data = _read_grid_csv(path, cls._CSV_NAMES)
+        return cls(spec, data.reshape(spec.nx, spec.ny, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -330,38 +335,55 @@ def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(s, lap)
 
 
-def sup_interior(f: ScalarField) -> float:
-    return f.sup(interior_only=True)
-
-
 # ---------------------------------------------------------------------------
-# CSV: "# {grid json}" header line, then named columns at 17 significant digits
+# CSV codec (format in the module docstring)
+
+_CSV_CHUNK_ROWS = 4096  # rows formatted per write, bounding the text buffer
+_CSV_XY_TOL = 1e-6  # allowed x/y offset from the header grid, in grid steps
 
 
-def _write_csv(path, spec: GridSpec, columns: dict[str, np.ndarray]) -> None:
+def _write_rows(fh, names, blocks) -> None:
+    """Write a line of column names, then one row per sample.
+
+    blocks are (rows, k) arrays side by side, together len(names) columns.
+    """
+    fmt = ",".join(["%.17g"] * len(names)) + "\n"
+    fh.write(",".join(names) + "\n")
+    for start in range(0, len(blocks[0]), _CSV_CHUNK_ROWS):
+        chunk = np.hstack([b[start:start + _CSV_CHUNK_ROWS] for b in blocks])
+        fh.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def _write_grid_csv(path, spec: GridSpec, names, blocks) -> None:
+    """Grid CSV of per-node values; each block is (nx, ny) or (nx, ny, k)."""
+    n = spec.nx * spec.ny
     X, Y = spec.nodes()
-    names = list(columns)
-    cols = [X.ravel(), Y.ravel()] + [np.asarray(columns[n]).ravel() for n in names]
+    blocks = [np.reshape(b, (n, -1)) for b in (X, Y, *blocks)]
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(spec.to_json_dict(), sort_keys=True) + "\n")
-        fh.write(",".join(["x", "y"] + names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        _write_rows(fh, ["x", "y", *names], blocks)
 
 
-def _read_csv(path, expected: list[str]) -> tuple[GridSpec, dict[str, np.ndarray]]:
+def _read_grid_csv(path, names) -> tuple[GridSpec, np.ndarray]:
+    """Grid and the (nx*ny, len(names)) value columns of a grid CSV file."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("# "):
             raise ValueError(f"{path}: missing grid header line")
         spec = GridSpec.from_json_dict(json.loads(header[2:]))
-        names = fh.readline().strip().split(",")
+        got = fh.readline().strip().split(",")
+        if got != ["x", "y", *names]:
+            raise ValueError(f"{path}: unexpected columns {got}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if names[:2] != ["x", "y"] or names[2:] != expected:
-        raise ValueError(f"{path}: unexpected columns {names}")
-    if data.shape[0] != spec.nx * spec.ny:
-        raise ValueError(f"{path}: row count {data.shape[0]} != nx*ny")
-    out = {}
-    for k, name in enumerate(expected):
-        out[name] = data[:, 2 + k].reshape(spec.shape)
-    return spec, out
+    want = (spec.nx * spec.ny, 2 + len(names))
+    if data.shape != want:
+        raise ValueError(f"{path}: {data.shape[0]} rows of {data.shape[1]} "
+                         f"columns, the header wants {want[0]} of {want[1]}")
+    X, Y = spec.nodes()
+    for k, (axis, nodes, h) in enumerate((("x", X, spec.hx), ("y", Y, spec.hy))):
+        off_grid = ~(np.abs(data[:, k] - nodes.ravel()) <= _CSV_XY_TOL * h)
+        if off_grid.any():
+            row = int(np.argmax(off_grid))
+            raise ValueError(f"{path}: data row {row + 1} has {axis} = "
+                             f"{data[row, k]!r}, off the header grid")
+    return spec, data[:, 2:]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComplexEigenvalues
-from .fields import GridSpec, OperatorField, ScalarField, diff1, diff2
+from .fields import GridSpec, OperatorField, ScalarField, diff1, laplacian
 
 __all__ = [
     "SurfaceData",
@@ -178,10 +178,8 @@ def gauss_residual(s: SurfaceData) -> ScalarField:
     Interior nodes use centered stencils; non-periodic edges use one-sided
     second-order stencils, so contract tolerances apply to the interior.
     """
-    spec = s.spec
-    u = s.u.values
-    lap = diff2(u, spec.hx, axis=0) + diff2(u, spec.hy, axis=1, periodic=spec.periodic_y)
-    return ScalarField(spec, lap - 2.0 * np.cosh(2.0 * u))
+    lap = laplacian(s.u).values
+    return ScalarField(s.spec, lap - 2.0 * np.cosh(2.0 * s.u.values))
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,21 @@ rounding level without changing the order of the method.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import ConstraintDrift, DegenerateTangents, SingularMetric
-from .fields import GridSpec, OperatorField, ScalarField, diff1
+from .fields import (
+    GridSpec,
+    OperatorField,
+    ScalarField,
+    _as_grid_array,
+    _read_grid_csv,
+    _write_grid_csv,
+    diff1,
+)
 from .geometry import SurfaceData, gauss_residual
 
 __all__ = [
@@ -90,12 +97,7 @@ class ImmersionGrid:
 
     def __post_init__(self):
         for name in ("sigma", "nu"):
-            a = np.array(getattr(self, name), dtype=float, copy=True)
-            if a.shape != (self.spec.nx, self.spec.ny, 4):
-                raise ValueError(f"{name} must have shape (nx, ny, 4), got {a.shape}")
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{name} contains non-finite entries")
-            a.setflags(write=False)
+            a = _as_grid_array(getattr(self, name), (*self.spec.shape, 4), name)
             object.__setattr__(self, name, a)
         if np.any(self.sigma[..., 0] <= 0):
             raise ValueError("sigma is not future-pointing everywhere")
@@ -105,13 +107,7 @@ class ImmersionGrid:
 
     def constraint_drift(self) -> float:
         """max over nodes of |<s,s>+1|, |<n,n>-1|, |<s,n>|."""
-        return float(
-            max(
-                np.max(np.abs(minkowski_dot(self.sigma, self.sigma) + 1.0)),
-                np.max(np.abs(minkowski_dot(self.nu, self.nu) - 1.0)),
-                np.max(np.abs(minkowski_dot(self.sigma, self.nu))),
-            )
-        )
+        return _drift(self.sigma, self.nu)
 
     _CSV_NAMES = (
         "sigma_t", "sigma_1", "sigma_2", "sigma_3",
@@ -119,30 +115,13 @@ class ImmersionGrid:
     )
 
     def to_csv(self, path) -> None:
-        X, Y = self.spec.nodes()
-        cols = [X.ravel(), Y.ravel()]
-        cols += [self.sigma[..., k].ravel() for k in range(4)]
-        cols += [self.nu[..., k].ravel() for k in range(4)]
-        with open(path, "w") as fh:
-            fh.write("# " + json.dumps(self.spec.to_json_dict(), sort_keys=True) + "\n")
-            fh.write(",".join(("x", "y") + self._CSV_NAMES) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+        _write_grid_csv(path, self.spec, self._CSV_NAMES, [self.sigma, self.nu])
 
     @classmethod
     def from_csv(cls, path) -> "ImmersionGrid":
-        with open(path) as fh:
-            header = fh.readline()
-            if not header.startswith("# "):
-                raise ValueError("missing grid header line")
-            spec = GridSpec.from_json_dict(json.loads(header[2:]))
-            names = fh.readline().strip().split(",")
-            if tuple(names[2:]) != cls._CSV_NAMES:
-                raise ValueError(f"unexpected columns {names}")
-            data = np.loadtxt(fh, delimiter=",")
-        frame = data[:, 2:].reshape(spec.nx, spec.ny, 8)
-        return cls(spec, np.ascontiguousarray(frame[..., :4]),
-                   np.ascontiguousarray(frame[..., 4:]))
+        spec, data = _read_grid_csv(path, cls._CSV_NAMES)
+        frame = data.reshape(spec.nx, spec.ny, 8)
+        return cls(spec, frame[..., :4], frame[..., 4:])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ integral_0^X e^g dx dominates g(X) - v0 (completeness margin).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np

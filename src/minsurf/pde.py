@@ -14,7 +14,7 @@ the expected (and tested) signal there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -22,8 +22,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NewtonDiverged, SingularJacobian
-from .fields import GridSpec, ScalarField, diff2
-from .geometry import SurfaceData
+from .fields import GridSpec, ScalarField
+from .geometry import SurfaceData, gauss_residual
 
 __all__ = [
     "NewtonParams",
@@ -222,11 +222,7 @@ def solve(p: PdeProblem) -> SurfaceData:
 
 def residual(s: SurfaceData) -> float:
     """Sup-norm interior residual of the discrete equation for a given chart."""
-    spec = s.spec
-    u = s.u.values
-    lap = diff2(u, spec.hx, axis=0) + diff2(u, spec.hy, axis=1, periodic=spec.periodic_y)
-    r = lap - 2.0 * np.cosh(2.0 * u)
-    return float(np.max(np.abs(r[spec.interior_mask()])))
+    return gauss_residual(s).sup(interior_only=True)
 
 
 def invariant_strip_problem(

@@ -107,6 +107,16 @@ class TestZlocus:
         assert run(["zlocus", "--input", str(bad)]) == 64
         assert "non-finite" in capsys.readouterr().err
 
+    def test_shuffled_rows_are_rejected(self, solved_csv, tmp_path, capsys):
+        # a valid header over rows out of grid order must not load as a
+        # silently different chart
+        bad = tmp_path / "shuffled.csv"
+        lines = solved_csv.read_text().splitlines()
+        lines[10], lines[50] = lines[50], lines[10]
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["zlocus", "--input", str(bad)]) == 64
+        assert "off the header grid" in capsys.readouterr().err
+
 
 class TestDeform:
     def test_straight_curve_is_skipped_not_fatal(self, tmp_path):

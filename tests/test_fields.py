@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from minsurf.fields import (
     GridSpec,
@@ -184,3 +187,75 @@ class TestOperatorField:
         B = OperatorField.from_csv(p)
         assert B.spec == s
         assert np.array_equal(B.mat, A.mat)
+
+
+# ---------------------------------------------------------------------------
+# properties of the shared codec and of the periodic wrap
+
+
+@st.composite
+def grid_specs(draw, periodic=st.booleans()):
+    return GridSpec(
+        nx=draw(st.integers(3, 9)),
+        ny=draw(st.integers(3, 9)),
+        hx=draw(st.floats(1e-3, 10.0)),
+        hy=draw(st.floats(1e-3, 10.0)),
+        origin=(draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))),
+        periodic_y=draw(periodic),
+    )
+
+
+# every finite magnitude up to 1e300, subnormals and both signed zeros
+node_values = st.floats(-1e300, 1e300) | st.sampled_from(
+    [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300])
+
+
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestCodecProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scalar_round_trip_is_bitwise(self, data, tmp_path_factory):
+        spec = data.draw(grid_specs())
+        f = ScalarField(spec, data.draw(arrays(float, spec.shape,
+                                               elements=node_values)))
+        p = tmp_path_factory.mktemp("codec") / "f.csv"
+        f.to_csv(p)
+        g = ScalarField.from_csv(p)
+        assert g.spec == spec and bits(g.values) == bits(f.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_operator_round_trip_is_bitwise(self, data, tmp_path_factory):
+        spec = data.draw(grid_specs())
+        A = OperatorField(spec, data.draw(arrays(
+            float, (spec.nx, spec.ny, 2, 2), elements=node_values)))
+        p = tmp_path_factory.mktemp("codec") / "a.csv"
+        A.to_csv(p)
+        B = OperatorField.from_csv(p)
+        assert B.spec == spec and bits(B.mat) == bits(A.mat)
+
+
+class TestWrapProperties:
+    @given(spec=grid_specs(periodic=st.just(True)),
+           k=st.floats(-1e3, 1e3))
+    def test_minimum_image(self, spec, k):
+        p = spec.period_y
+        dy = k * p
+        w = spec.wrap_dy(dy)
+        assert -p / 2 <= w <= p / 2
+        turns = (w - dy) / p
+        eps = np.finfo(float).eps
+        assert abs(turns - round(turns)) <= 8 * eps * (abs(k) + 1)
+
+    @given(spec=grid_specs(periodic=st.just(False)),
+           dy=st.floats(allow_nan=False))
+    def test_identity_without_period(self, spec, dy):
+        assert spec.wrap_dy(dy) == dy
+
+    def test_arrays_wrap_elementwise(self):
+        s = spec_per(5, 10)
+        dy = np.array([-0.6, -0.5, 0.0, 0.4, 0.6, 1.7])
+        assert np.allclose(s.wrap_dy(dy), [0.4, -0.5, 0.0, 0.4, -0.4, -0.3])

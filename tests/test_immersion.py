@@ -147,6 +147,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="column"):
             imm.ImmersionGrid.from_csv(p)
 
+    def test_rejects_short_file(self, imm32, tmp_path):
+        p = tmp_path / "g.csv"
+        imm32.to_csv(p)
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match=r"g\.csv: .* rows"):
+            imm.ImmersionGrid.from_csv(p)
+
 
 class TestIsometries:
     def test_boost_preserves_minkowski_form(self):
