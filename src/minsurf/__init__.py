@@ -4,8 +4,9 @@ The pieces fit together in one pipeline:
 
 - ``invariant_ode``: the translation-invariant profile g'' = 2 cosh(2g),
   its blow-up width, and conversion to a chart solution.
-- ``pde``: damped Newton solver for the conformal-factor equation
-  Delta u = 2 cosh(2u) on rectangle charts.
+- ``pde``: damped inexact Newton solver for the conformal-factor equation
+  Delta u = 2 cosh(2u) on rectangle and cylinder charts (MINRES steps with a
+  fast-Poisson preconditioner).
 - ``geometry``: fundamental forms, shape operator, principal curvatures,
   and Christoffel symbols of e^{2u}(dx^2 + dy^2).
 - ``immersion``: Gauss-Weingarten frame integration into the hyperboloid
@@ -24,11 +25,17 @@ Top-level names resolve lazily so that importing :mod:`minsurf` (in
 particular through the ``minsurf`` console script, which must apply the
 ``MINSURF_THREADS`` cap before the numerical stack loads) stays free of
 numpy/scipy imports until something is actually used.
+
+Diagnostics (such as the per-step Newton trace of ``pde.solve``) go to the
+``minsurf`` logger, silent unless the caller configures logging.
 """
 
 from __future__ import annotations
 
 import importlib
+import logging
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"
 

@@ -57,7 +57,7 @@ class NewtonDiverged(MinsurfError):
 
 
 class SingularJacobian(MinsurfError):
-    """Sparse factorization of the Newton Jacobian failed."""
+    """The Newton linear solve broke down or returned a non-finite step."""
 
 
 class ConstraintDrift(MinsurfError):

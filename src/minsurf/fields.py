@@ -370,7 +370,11 @@ def _read_grid_csv(path, names) -> tuple[GridSpec, np.ndarray]:
         header = fh.readline()
         if not header.startswith("# "):
             raise ValueError(f"{path}: missing grid header line")
-        spec = GridSpec.from_json_dict(json.loads(header[2:]))
+        try:
+            spec = GridSpec.from_json_dict(json.loads(header[2:]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad grid header "
+                             f"({type(exc).__name__}: {exc})") from exc
         got = fh.readline().strip().split(",")
         if got != ["x", "y", *names]:
             raise ValueError(f"{path}: unexpected columns {got}")

@@ -3,9 +3,15 @@
 Discretization: 5-point Laplacian on the grid, Dirichlet data on the
 non-periodic edges, periodic wrap in y when the grid is a cylinder.  The
 nonlinear system F(u) = Delta_h u - 2 cosh(2u) = 0 on interior nodes is solved
-by damped Newton with sparse LU; the Jacobian is Delta_h - 4 sinh(2u) I_diag,
-strictly diagonally dominant wherever sinh(2u) >= 0, which is what makes the
-weakly bounded regime (u >= 0) so benign.
+by damped inexact Newton.  Each step solves with the Jacobian
+J = Delta_h - 4 sinh(2u) I_diag by MINRES, preconditioned with the exact
+inverse of -Delta_h + s I: the 5-point Laplacian diagonalises by the sine
+transform in x and by the real FFT (cylinder) or the sine transform
+(rectangle) in y (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970),
+so the preconditioner costs O(N log N) and O(N) memory.  -J is positive
+definite wherever sinh(2u) >= 0, which is what makes the weakly bounded
+regime (u >= 0) so benign; MINRES also handles the symmetric indefinite -J of
+charts with u < 0 somewhere.
 
 Solvability is width-limited: boundary data >= 0 on a strip of width >= twice
 the maximal invariant half-width admits no solution, and Newton divergence is
@@ -14,15 +20,17 @@ the expected (and tested) signal there.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import NewtonDiverged, SingularJacobian
-from .fields import GridSpec, ScalarField
+from .fields import GridSpec, ScalarField, laplacian
 from .geometry import SurfaceData, gauss_residual
 
 __all__ = [
@@ -37,6 +45,18 @@ __all__ = [
 ]
 
 _DAMPING_FLOOR = 2.0**-10
+# Eisenstat-Walker forcing terms, choice 2 (SIAM J. Sci. Comput. 17, 1996):
+# eta_k = gamma (|F_k| / |F_k-1|)^alpha, safeguarded, within [floor, max].
+# The first step uses the max; the floor keeps the last steps from asking
+# MINRES for more than the 1e-10 residual the Newton test needs.
+_EW_GAMMA, _EW_ALPHA = 0.9, 2.0
+_FORCING_MAX = 0.5
+_FORCING_FLOOR = 1e-10
+# MINRES takes 1-6 iterations per step here; the cap bounds a stalled solve,
+# whose inexact step the line search then judges
+_MINRES_MAXITER = 200
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -76,75 +96,92 @@ class PdeProblem:
             raise ValueError("initial guess lives on a different grid")
 
 
-def _interior_map(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(index array (nx, ny) with -1 at boundary, interior i's, interior j's)."""
-    idx = -np.ones(spec.shape, dtype=np.int64)
-    mask = spec.interior_mask()
-    ii, jj = np.nonzero(mask)
-    idx[ii, jj] = np.arange(ii.size)
-    return idx, ii, jj
+def _interior(spec: GridSpec) -> tuple[slice, slice]:
+    """Index of the interior nodes: (nx-2, ny) on a cylinder, (nx-2, ny-2) on
+    a rectangle.  Vectors of unknowns hold them in row-major order."""
+    return slice(1, -1), slice(None) if spec.periodic_y else slice(1, -1)
 
 
-def _assemble_laplacian(spec: GridSpec, boundary: np.ndarray):
-    """Sparse Delta_h on interior nodes and the boundary contribution vector."""
-    idx, ii, jj = _interior_map(spec)
-    m = ii.size
-    cx = 1.0 / spec.hx**2
-    cy = 1.0 / spec.hy**2
-
-    rows, cols, vals = [], [], []
-    b = np.zeros(m)
-    diag = np.full(m, -2.0 * (cx + cy))
-    k = np.arange(m)
-    rows.append(k)
-    cols.append(k)
-    vals.append(diag)
-
-    def neighbor(di: int, dj: int, coef: float):
-        ni = ii + di
-        nj = jj + dj
-        if spec.periodic_y:
-            nj = nj % spec.ny
-        nidx = idx[ni, nj]
-        inside = nidx >= 0
-        rows.append(k[inside])
-        cols.append(nidx[inside])
-        vals.append(np.full(inside.sum(), coef))
-        out = ~inside
-        if out.any():
-            b[k[out]] += coef * boundary[ni[out], nj[out]]
-
-    neighbor(-1, 0, cx)
-    neighbor(+1, 0, cx)
-    neighbor(0, -1, cy)
-    neighbor(0, +1, cy)
-
-    L = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    )
-    return L, b, (idx, ii, jj)
+def _interior_shape(spec: GridSpec) -> tuple[int, int]:
+    return spec.nx - 2, spec.ny if spec.periodic_y else spec.ny - 2
 
 
-def _full_field(spec: GridSpec, interior: np.ndarray, boundary: np.ndarray, maps):
-    _, ii, jj = maps
-    full = boundary.copy()
-    full[ii, jj] = interior
-    return full
+def _laplacian_matrix(spec: GridSpec):
+    """Sparse 5-point Delta_h on the interior nodes, with zero Dirichlet data."""
+    mx, my = _interior_shape(spec)
+    cx, cy = 1.0 / spec.hx**2, 1.0 / spec.hy**2
+    # row k = i*my + j couples to k -/+ my (x) and k -/+ 1 (y)
+    cols = np.arange(mx * my).reshape(mx, my, 1) + np.array([-my, -1, 0, 1, my])
+    vals = np.broadcast_to([cx, cy, -2.0 * (cx + cy), cy, cx], cols.shape)
+    keep = np.ones(cols.shape, dtype=bool)
+    keep[0, :, 0] = keep[-1, :, 4] = False
+    if spec.periodic_y:
+        cols[:, 0, 1] += my
+        cols[:, -1, 3] -= my
+    else:
+        keep[:, 0, 1] = keep[:, -1, 3] = False
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=-1).ravel())])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(mx * my,) * 2)
+
+
+def _boundary_term(boundary: ScalarField) -> np.ndarray:
+    """b in Delta_h u = L v + b on the interior: Delta_h of the Dirichlet data
+    with the interior set to zero."""
+    inner = _interior(boundary.spec)
+    g = boundary.values.copy()
+    g[inner] = 0.0
+    return laplacian(ScalarField(boundary.spec, g)).values[inner].ravel()
+
+
+def _with_interior(boundary: ScalarField, v: np.ndarray) -> np.ndarray:
+    """The boundary data with the interior nodes replaced by v."""
+    u = boundary.values.copy()
+    u[_interior(boundary.spec)] = v.reshape(_interior_shape(boundary.spec))
+    return u
+
+
+def _second_difference_eigs(m: int, h: float, periodic: bool) -> np.ndarray:
+    """Eigenvalues of -d^2/dx^2 (3-point) on m nodes: periodic in rfft order,
+    or with zero end data in DST-I order."""
+    k = np.arange(m // 2 + 1) / m if periodic else np.arange(1, m + 1) / (2 * m + 2)
+    return (4.0 / h**2) * np.sin(np.pi * k) ** 2
+
+
+def _poisson_solve(spec: GridSpec, rhs: np.ndarray, shift: float) -> np.ndarray:
+    """(-L_h + shift I)^-1 rhs on the interior nodes, for shift >= 0.
+
+    The sine transform (DST-I) diagonalises the x part; the y part is
+    diagonalised by the real FFT on a cylinder and by DST-I on a rectangle.
+    """
+    mx, my = _interior_shape(spec)
+    lam = (_second_difference_eigs(mx, spec.hx, periodic=False)[:, None]
+           + _second_difference_eigs(my, spec.hy, spec.periodic_y) + shift)
+    r = rhs.reshape(mx, my)
+    if spec.periodic_y:
+        r = sfft.rfft(sfft.dst(r, type=1, axis=0, norm="ortho"), axis=1) / lam
+        out = sfft.idst(sfft.irfft(r, n=my, axis=1), type=1, axis=0, norm="ortho")
+    else:
+        out = sfft.idstn(sfft.dstn(r, type=1, norm="ortho") / lam, type=1,
+                         norm="ortho")
+    return out.ravel()
 
 
 def harmonic_extension(spec: GridSpec, boundary: ScalarField) -> ScalarField:
     """Solve Delta_h v = 0 with the given Dirichlet data (default initial guess)."""
-    L, b, maps = _assemble_laplacian(spec, boundary.values)
-    try:
-        v = splu(L.tocsc()).solve(-b)
-    except RuntimeError as exc:  # pragma: no cover - Laplacian is never singular
-        raise SingularJacobian(str(exc)) from exc
-    return ScalarField(spec, _full_field(spec, v, boundary.values, maps))
+    v = _poisson_solve(spec, _boundary_term(boundary), 0.0)
+    return ScalarField(spec, _with_interior(boundary, v))
 
 
 def solve(p: PdeProblem) -> SurfaceData:
-    """Damped Newton iteration for the discrete cosh-Gordon system.
+    """Damped inexact Newton iteration for the discrete cosh-Gordon system.
+
+    Starts from p.initial_guess, or from the harmonic extension of the
+    boundary data.  Each step solves (-J) step = F by MINRES with the
+    fast-Poisson preconditioner (-L_h + s I)^-1, s = max(mean(4 sinh 2u), 0),
+    to the Eisenstat-Walker forcing term of that step.  A MINRES breakdown or
+    a non-finite step raises SingularJacobian.  Each step is logged at DEBUG
+    on the "minsurf.pde" logger: iteration, sup residual, accepted damping,
+    MINRES iterations and forcing term.
 
     Residual is measured in the sup norm over interior nodes.  Backtracking
     halves the step down to 2^-10 of the nominal damping; failure to reduce
@@ -158,15 +195,13 @@ def solve(p: PdeProblem) -> SurfaceData:
     divergence.
     """
     spec = p.spec
-    L, b, maps = _assemble_laplacian(spec, p.boundary.values)
-    m = b.size
+    L = _laplacian_matrix(spec)
+    b = _boundary_term(p.boundary)
     absL = abs(L)
-
-    if p.initial_guess is not None:
-        _, ii, jj = maps
-        v = p.initial_guess.values[ii, jj].copy()
-    else:
-        v = splu(L.tocsc()).solve(-b)
+    guess = p.initial_guess
+    if guess is None:
+        guess = harmonic_extension(spec, p.boundary)
+    v = guess.values[_interior(spec)].ravel()
 
     def F(vv):
         with np.errstate(over="ignore"):
@@ -180,19 +215,39 @@ def solve(p: PdeProblem) -> SurfaceData:
 
     res_vec = F(v)
     res = float(np.max(np.abs(res_vec)))
+    eta, norm_prev = _FORCING_MAX, None
     for it in range(p.newton.max_iter):
         if res <= tol_eff(v):
             break
         with np.errstate(over="ignore"):
-            dg = -4.0 * np.sinh(2.0 * v)
+            dg = 4.0 * np.sinh(2.0 * v)
         if not np.all(np.isfinite(dg)):
             raise NewtonDiverged(it, res)
-        J = (L + sp.diags(dg)).tocsc()
-        try:
-            lu = splu(J)
-        except RuntimeError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        step = lu.solve(-res_vec)
+
+        norm_f = float(np.linalg.norm(res_vec))
+        if norm_prev is not None:
+            ew = _EW_GAMMA * (norm_f / norm_prev) ** _EW_ALPHA
+            safeguard = _EW_GAMMA * eta**_EW_ALPHA
+            if safeguard > 0.1:
+                ew = max(ew, safeguard)
+            eta = min(max(ew, _FORCING_FLOOR), _FORCING_MAX)
+        norm_prev = norm_f
+
+        shift = max(float(np.mean(dg)), 0.0)
+        minus_J = LinearOperator(L.shape, dtype=float,
+                                 matvec=lambda x: dg * x - L @ x)
+        precond = LinearOperator(L.shape, dtype=float,
+                                 matvec=lambda r: _poisson_solve(spec, r, shift))
+        n_lin = 0
+
+        def count(_):
+            nonlocal n_lin
+            n_lin += 1
+
+        step, info = minres(minus_J, res_vec, rtol=eta, maxiter=_MINRES_MAXITER,
+                            M=precond, callback=count)
+        if info < 0:
+            raise SingularJacobian(f"MINRES breakdown (info {info})")
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("non-finite Newton step")
 
@@ -211,11 +266,14 @@ def solve(p: PdeProblem) -> SurfaceData:
             if res <= tol_eff(v):
                 break
             raise NewtonDiverged(it + 1, res)
+        _log.debug("newton iteration %d: residual %.3e, damping %g, "
+                   "%d MINRES iterations, forcing %.2e",
+                   it + 1, res, lam, n_lin, eta)
     else:
         if res > tol_eff(v):
             raise NewtonDiverged(p.newton.max_iter, res)
 
-    u = _full_field(spec, v, p.boundary.values, maps)
+    u = _with_interior(p.boundary, v)
     weak = float(u.min()) >= -1e-12
     return SurfaceData(ScalarField(spec, u), weakly_bounded=weak)
 

@@ -117,6 +117,22 @@ class TestZlocus:
         assert run(["zlocus", "--input", str(bad)]) == 64
         assert "off the header grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda head: {k: v for k, v in head.items() if k != "nx"},
+        lambda head: list(head.values()),
+    ], ids=["missing-key", "json-list"])
+    def test_bad_grid_header_is_usage_error(self, solved_csv, tmp_path,
+                                            capsys, edit):
+        # valid JSON that is not a grid must not escape as a traceback
+        # (exit 1 is the verification-failure code)
+        bad = tmp_path / "header.csv"
+        lines = solved_csv.read_text().splitlines()
+        lines[0] = "# " + json.dumps(edit(json.loads(lines[0][2:])))
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["zlocus", "--input", str(bad)]) == 64
+        err = capsys.readouterr().err
+        assert str(bad) in err and "bad grid header" in err
+
 
 class TestDeform:
     def test_straight_curve_is_skipped_not_fatal(self, tmp_path):

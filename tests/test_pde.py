@@ -1,7 +1,12 @@
 """Newton solver for the conformal-factor equation on strips and squares."""
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from minsurf.fields import GridSpec, ScalarField, diff2
 from minsurf import pde
@@ -26,6 +31,19 @@ def strip_problem(width: float, c: float, nx: int = 49,
     spec = GridSpec(nx=nx, ny=ny, hx=width / (nx - 1), hy=1.0 / ny,
                     origin=(-width / 2, 0.0), periodic_y=True)
     return pde.PdeProblem(spec=spec, boundary=bfor(spec), boundary_func=bfor)
+
+
+def sign_changing_square(n: int = 33) -> pde.PdeProblem:
+    # boundary data spanning [-0.5, 0.3], so u < 0 inside and the Newton
+    # Jacobian is indefinite there
+    spec = GridSpec(nx=n, ny=n, hx=1 / (n - 1), hy=1 / (n - 1),
+                    periodic_y=False)
+    X, Y = spec.nodes()
+    v = np.cos(2 * np.pi * X + 0.3) + 0.5 * np.cos(4 * np.pi * Y + 1.1)
+    edge = ~spec.interior_mask()
+    lo, hi = v[edge].min(), v[edge].max()
+    v = -0.5 + 0.8 * (v - lo) / (hi - lo)
+    return pde.PdeProblem(spec=spec, boundary=ScalarField(spec, v))
 
 
 class TestSolve:
@@ -81,6 +99,40 @@ class TestSolve:
         with pytest.raises(NewtonDiverged):
             pde.solve(strip_problem(2.9, c))
 
+    def test_indefinite_regime_converges(self):
+        p = sign_changing_square()
+        s = pde.solve(p)
+        assert pde.residual(s) <= 1e-10
+        assert np.array_equal(s.u.values[~p.spec.interior_mask()],
+                              p.boundary.values[~p.spec.interior_mask()])
+        assert s.u.values[p.spec.interior_mask()].min() < 0
+        assert not s.weakly_bounded
+
+    def test_repeated_solves_are_bitwise_equal(self, sol0):
+        # byte-identical reports rest on this
+        for p in (pde.invariant_strip_problem(sol0, 0.8, nx=33, ny=32),
+                  sign_changing_square()):
+            assert np.array_equal(pde.solve(p).u.values,
+                                  pde.solve(p).u.values)
+
+    def test_newton_steps_are_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="minsurf"):
+            pde.solve(sign_changing_square())
+        steps = [r for r in caplog.records if r.name == "minsurf.pde"]
+        assert steps and all(r.levelno == logging.DEBUG for r in steps)
+        # (iteration, sup residual, damping, MINRES iterations, forcing)
+        its, res, damping, n_lin, eta = zip(*(r.args for r in steps))
+        assert its == tuple(range(1, len(steps) + 1))
+        assert all(a > b for a, b in zip(res, res[1:]))
+        assert res[-1] <= 1e-10
+        assert all(0 < d <= 1 for d in damping)
+        assert all(k >= 1 for k in n_lin)
+        assert all(0 < e < 1 for e in eta)
+
+    def test_package_logger_is_silent_by_default(self):
+        handlers = logging.getLogger("minsurf").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
     def test_nan_guess_rejected(self):
         p = square_problem(0.4, 0.0)
         bad = np.zeros(p.spec.shape)
@@ -88,6 +140,42 @@ class TestSolve:
         with pytest.raises(ValueError, match="non-finite"):
             pde.PdeProblem(spec=p.spec, boundary=p.boundary,
                            initial_guess=ScalarField(p.spec, bad))
+
+
+class TestComparisonPrinciple:
+    # Width 0.5: every such problem is solvable (wider strips with negative
+    # data are not), and the first Dirichlet eigenvalue of -Delta_h (at
+    # least 32) exceeds |4 sinh 2u| for |u| <= 1, so the discrete problem is
+    # monotone in its boundary data.
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_ordered_data_give_ordered_solutions(self, data):
+        nx = data.draw(st.integers(3, 24), label="nx")
+        ny = data.draw(st.integers(3, 24), label="ny")
+        periodic = data.draw(st.booleans(), label="periodic")
+        spec = GridSpec(nx=nx, ny=ny, hx=0.5 / (nx - 1),
+                        hy=0.5 / ny if periodic else 0.5 / (ny - 1),
+                        periodic_y=periodic)
+        g1 = data.draw(arrays(float, spec.shape,
+                              elements=st.floats(-0.5, 0.5)))
+        gap = data.draw(arrays(float, spec.shape,
+                               elements=st.floats(0.0, 0.5)))
+        u1, u2 = (pde.solve(pde.PdeProblem(spec, ScalarField(spec, g))).u.values
+                  for g in (g1, g1 + gap))
+        assert np.all(u1 <= u2 + 1e-12)
+
+
+class TestPoissonSolve:
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("nx,ny", [(17, 16), (17, 15), (3, 8), (3, 7),
+                                       (12, 3)])
+    @pytest.mark.parametrize("shift", [0.0, 7.5])
+    def test_inverts_the_assembled_laplacian(self, periodic, nx, ny, shift):
+        spec = GridSpec(nx=nx, ny=ny, hx=0.13, hy=0.05, periodic_y=periodic)
+        L = pde._laplacian_matrix(spec)
+        x = np.random.default_rng(nx * ny).standard_normal(L.shape[0])
+        y = pde._poisson_solve(spec, shift * x - L @ x, shift)
+        assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
 
 
 class TestResidual:
@@ -107,6 +195,13 @@ class TestHarmonicExtension:
         lin = ScalarField.from_function(spec, lambda x, y: 0.3 * x - 0.2 * y + 0.1)
         he = pde.harmonic_extension(spec, lin)
         assert np.max(np.abs(he.values - lin.values)) <= 1e-11
+
+    def test_reproduces_data_linear_in_x_on_a_strip(self):
+        spec = GridSpec(nx=33, ny=20, hx=0.9 / 32, hy=1 / 20,
+                        origin=(-0.45, 0.0), periodic_y=True)
+        lin = ScalarField.from_function(spec, lambda x, y: 0.7 * x - 0.1)
+        he = pde.harmonic_extension(spec, lin)
+        assert np.max(np.abs(he.values - lin.values)) <= 1e-12
 
 
 class TestContinuation:
