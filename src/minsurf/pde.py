@@ -179,9 +179,13 @@ def solve(p: PdeProblem) -> SurfaceData:
     boundary data.  Each step solves (-J) step = F by MINRES with the
     fast-Poisson preconditioner (-L_h + s I)^-1, s = max(mean(4 sinh 2u), 0),
     to the Eisenstat-Walker forcing term of that step.  A MINRES breakdown or
-    a non-finite step raises SingularJacobian.  Each step is logged at DEBUG
-    on the "minsurf.pde" logger: iteration, sup residual, accepted damping,
-    MINRES iterations and forcing term.
+    a non-finite step raises SingularJacobian.  When MINRES stops at its
+    iteration cap (info > 0) the unconverged step is used as an inexact
+    Newton step: the line search still has to reduce the true residual, and
+    convergence is still declared only on the true residual.  Each step is
+    logged at DEBUG on the "minsurf.pde" logger: iteration, sup residual,
+    accepted damping, MINRES iterations, forcing term and MINRES info (0
+    when converged, the iteration count when capped).
 
     Residual is measured in the sup norm over interior nodes.  Backtracking
     halves the step down to 2^-10 of the nominal damping; failure to reduce
@@ -267,8 +271,8 @@ def solve(p: PdeProblem) -> SurfaceData:
                 break
             raise NewtonDiverged(it + 1, res)
         _log.debug("newton iteration %d: residual %.3e, damping %g, "
-                   "%d MINRES iterations, forcing %.2e",
-                   it + 1, res, lam, n_lin, eta)
+                   "%d MINRES iterations, forcing %.2e, MINRES info %d",
+                   it + 1, res, lam, n_lin, eta, info)
     else:
         if res > tol_eff(v):
             raise NewtonDiverged(p.newton.max_iter, res)

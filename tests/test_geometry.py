@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from minsurf.fields import GridSpec, OperatorField, ScalarField
 from minsurf.geometry import (
@@ -113,6 +116,27 @@ class TestPrincipalCurvatures:
         B = OperatorField.from_components(self.spec(), 0.0, -1.0, 1.0, 0.0)
         with pytest.raises(ComplexEigenvalues):
             principal_curvatures(B)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_ordered_for_self_adjoint_operators(self, data):
+        # I positive definite (eigenvalues in [0.5, 2]) and II symmetric make
+        # B = I^-1 II self-adjoint for I, so its eigenvalues are real
+        spec = GridSpec(nx=3, ny=4, hx=0.1, hy=0.1, periodic_y=False)
+
+        def draw(lo, hi):
+            return data.draw(arrays(float, spec.shape,
+                                    elements=st.floats(lo, hi)))
+
+        th, l1, l2 = draw(0.0, np.pi), draw(0.5, 2.0), draw(0.5, 2.0)
+        c, s = np.cos(th), np.sin(th)
+        I = OperatorField.from_components(
+            spec, c * c * l1 + s * s * l2, c * s * (l1 - l2),
+            c * s * (l1 - l2), s * s * l1 + c * c * l2)
+        p, q, r = draw(-1.0, 1.0), draw(-1.0, 1.0), draw(-1.0, 1.0)
+        II = OperatorField.from_components(spec, p, q, q, r)
+        pc = principal_curvatures(I.inverse() @ II, metric=I)
+        assert np.all(pc.lambda_minus.values <= pc.lambda_plus.values)
 
 
 class TestChristoffel:

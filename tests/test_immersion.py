@@ -1,10 +1,18 @@
 """Frame integration into the hyperboloid model and the normal flow."""
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.interpolate import RectBivariateSpline
 
 from minsurf.fields import GridSpec, OperatorField, ScalarField
 from minsurf import immersion as imm
+from minsurf import invariant_ode as iode
+from minsurf import pde
 from minsurf.geometry import SurfaceData, embedding_data
 from minsurf.errors import ConstraintDrift, DegenerateTangents
 
@@ -19,6 +27,75 @@ def geodesic_plane_grid(nx=17, ny=13):
     nu = np.zeros_like(sigma)
     nu[..., 3] = 1.0
     return imm.ImmersionGrid(spec=spec, sigma=sigma, nu=nu)
+
+
+def periodic_chart(sol, n):
+    spec = GridSpec(nx=n + 1, ny=n, hx=1.0 / n, hy=1.0 / n,
+                    origin=(-0.5, 0.0), periodic_y=True)
+    return iode.to_surface(sol, spec)
+
+
+def solved_rectangle(k=1):
+    """Dirichlet solution on a 0.8 x 0.6 rectangle with (32k+1, 24k+1) nodes."""
+    nx, ny = 32 * k + 1, 24 * k + 1
+    spec = GridSpec(nx=nx, ny=ny, hx=0.8 / (nx - 1), hy=0.6 / (ny - 1),
+                    origin=(-0.4, -0.3), periodic_y=False)
+    X, Y = spec.nodes()
+    data = ScalarField(spec, 0.2 + 0.1 * np.cos(3 * X + 2 * Y))
+    return pde.solve(pde.PdeProblem(spec=spec, boundary=data))
+
+
+def half_steps(ts):
+    return np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])]))
+
+
+class TestCoeffTables:
+    """The tabulated (u, u_x, u_y) equal pointwise spline evaluation."""
+
+    @staticmethod
+    def pointwise(s, xs, ys):
+        # the fit as the sweeps need it: three wrap columns on each side of
+        # a periodic chart, and every point mapped into the base period
+        spec, u, yk = s.spec, s.u.values, s.spec.ys
+        if spec.periodic_y:
+            yk = spec.origin[1] + spec.hy * np.arange(-3, spec.ny + 3)
+            u = np.concatenate([u[:, -3:], u, u[:, :3]], axis=1)
+        sp = RectBivariateSpline(spec.xs, yk, u)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        if spec.periodic_y:
+            Y = spec.origin[1] + np.mod(Y - spec.origin[1], spec.period_y)
+        return [sp.ev(X, Y, dx=dx, dy=dy)
+                for dx, dy in ((0, 0), (1, 0), (0, 1))]
+
+    @pytest.mark.parametrize("case", ["periodic", "rectangle"])
+    def test_matches_spline_at_nodes_and_midpoints(self, chart32, case):
+        s = chart32 if case == "periodic" else solved_rectangle()
+        xs, ys = half_steps(s.spec.xs), half_steps(s.spec.ys)
+        assert ys[-1] == s.spec.ys[-1]  # the last row before the seam
+        (table,) = imm._coeff_tables(s, (xs, ys))
+        for got, want in zip(table, self.pointwise(s, xs, ys)):
+            assert got.shape == (xs.size, ys.size)
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("order", ["rows_then_columns",
+                                       "columns_then_rows"])
+    def test_spline_evaluations_do_not_grow_with_the_grid(
+            self, sol0, order, monkeypatch):
+        calls = []
+        real = RectBivariateSpline.__call__
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(RectBivariateSpline, "__call__", counted)
+        counts = []
+        for n in (16, 64):
+            s = periodic_chart(sol0, n)
+            calls.clear()
+            imm.immerse(s, order=order)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestImmerse:
@@ -56,6 +133,41 @@ class TestImmerse:
     def test_path_independence_at_truncation_level(self, chart64, imm64):
         alt = imm.immerse(chart64, order="columns_then_rows")
         assert np.max(np.abs(alt.sigma - imm64.sigma)) <= 1e-4
+
+    def test_sweep_orders_agree_on_a_rectangle(self):
+        # the gap between the two routes is the O(h^2) truncation of the
+        # chart, so it falls about 4x per grid doubling
+        gaps = []
+        for k in (1, 2):
+            s = solved_rectangle(k)
+            a = imm.immerse(s)
+            b = imm.immerse(s, order="columns_then_rows")
+            assert a.constraint_drift() <= 1e-9
+            assert b.constraint_drift() <= 1e-9
+            gaps.append(np.max(np.abs(a.sigma - b.sigma)))
+        assert gaps[0] <= 5e-3
+        assert 3.0 <= gaps[0] / gaps[1] <= 5.0
+
+    def test_sweeps_are_logged(self, chart32, caplog):
+        with caplog.at_level(logging.DEBUG, logger="minsurf.immersion"):
+            g = imm.immerse(chart32)
+            imm.normal_flow(g, ScalarField.zeros(g.spec), 0.1)
+        recs = [r.args for r in caplog.records
+                if r.name == "minsurf.immersion"]
+        assert all(r.levelno == logging.DEBUG for r in caplog.records
+                   if r.name == "minsurf.immersion")
+        (rel,), line, sheet, (gram_min,) = recs
+        assert 0 < rel < 1e-2
+        assert line[0] == "line" and sheet[0] == "sheet"
+        assert 0 < line[1] <= 1e-6 and 0 < sheet[1] <= 1e-6
+        assert gram_min > 0
+
+    def test_layer_is_silent_by_default(self, chart32, capfd):
+        log = logging.getLogger("minsurf.immersion")
+        assert not log.handlers and not log.isEnabledFor(logging.DEBUG)
+        g = imm.immerse(chart32)
+        imm.normal_flow(g, ScalarField.zeros(g.spec), 0.1)
+        assert capfd.readouterr() == ("", "")
 
     def test_rejects_unknown_order(self, chart32):
         with pytest.raises(ValueError, match="order"):
@@ -109,6 +221,34 @@ class TestNormalFlow:
     def test_spec_mismatch(self, imm64, flat_chart):
         with pytest.raises(ValueError):
             imm.normal_flow(imm64, ScalarField.zeros(flat_chart.spec), 0.1)
+
+
+def normal_by_det(a, b, c):
+    """Minors of (a; b; c) by np.linalg.det, index raised with eta."""
+    M = np.stack([a, b, c], axis=-2)
+    w = [(-1.0) ** mu * np.linalg.det(np.delete(M, mu, axis=-1))
+         for mu in range(4)]
+    return np.stack(w, axis=-1) * np.array([-1.0, 1.0, 1.0, 1.0])
+
+
+# entries of size 0 or above 1e-6, so that the error scale cannot underflow
+entries = st.floats(-10.0, 10.0).map(lambda v: v if abs(v) >= 1e-6 else 0.0)
+
+
+class TestMinkowskiNormal:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_determinant_definition(self, data):
+        n = data.draw(st.integers(1, 5))
+        a, b, c = (data.draw(arrays(float, (n, 4), elements=entries))
+                   for _ in range(3))
+        w = imm.minkowski_normal(a, b, c)
+        norms = [np.linalg.norm(v, axis=-1) for v in (a, b, c)]
+        scale = norms[0] * norms[1] * norms[2]
+        err = np.linalg.norm(w - normal_by_det(a, b, c), axis=-1)
+        assert np.all(err <= 1e-12 * scale)
+        for v, nv in zip((a, b, c), norms):
+            assert np.all(np.abs(imm.minkowski_dot(w, v)) <= 1e-12 * scale * nv)
 
 
 class TestFormsFromImmersion:

@@ -120,14 +120,34 @@ class TestSolve:
             pde.solve(sign_changing_square())
         steps = [r for r in caplog.records if r.name == "minsurf.pde"]
         assert steps and all(r.levelno == logging.DEBUG for r in steps)
-        # (iteration, sup residual, damping, MINRES iterations, forcing)
-        its, res, damping, n_lin, eta = zip(*(r.args for r in steps))
+        # (iteration, sup residual, damping, MINRES iterations, forcing,
+        # MINRES info)
+        its, res, damping, n_lin, eta, info = zip(*(r.args for r in steps))
         assert its == tuple(range(1, len(steps) + 1))
         assert all(a > b for a, b in zip(res, res[1:]))
         assert res[-1] <= 1e-10
         assert all(0 < d <= 1 for d in damping)
         assert all(k >= 1 for k in n_lin)
         assert all(0 < e < 1 for e in eta)
+        assert all(i == 0 for i in info)
+
+    @pytest.mark.parametrize("case", ["strip", "indefinite"])
+    def test_minres_cap_never_returns_an_unconverged_chart(
+            self, sol0, case, monkeypatch, caplog):
+        # at the cap the unconverged MINRES step is used as an inexact
+        # Newton step; the true-residual test must still decide
+        monkeypatch.setattr(pde, "_MINRES_MAXITER", 1)
+        p = (pde.invariant_strip_problem(sol0, 0.8, nx=33, ny=32)
+             if case == "strip" else sign_changing_square())
+        with caplog.at_level(logging.DEBUG, logger="minsurf.pde"):
+            try:
+                s = pde.solve(p)
+            except NewtonDiverged:
+                return
+        assert pde.residual(s) <= 1e-10
+        capped = [r.args for r in caplog.records
+                  if r.name == "minsurf.pde" and r.args[5] > 0]
+        assert capped and all(a[3] == 1 for a in capped)
 
     def test_package_logger_is_silent_by_default(self):
         handlers = logging.getLogger("minsurf").handlers
