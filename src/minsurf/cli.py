@@ -210,6 +210,7 @@ def cmd_zlocus(args) -> int:
             "diameter": c.diameter,
             "nodes": int(len(c.nodes)),
             "closed": bool(c.closed),
+            "dropped_nodes": c.dropped,
         }
         if c.kind == "Curve":
             v = genericity_check(c)
@@ -231,17 +232,21 @@ def cmd_zlocus(args) -> int:
 def cmd_deform(args) -> int:
     import numpy as np
 
-    from .deform import assemble_f, build_point_f, detect_z, genericity_check
-    from .errors import (
-        BallExceedsChart,
-        NonGenericCurve,
-        OverlappingNeighbourhoods,
-        WrongHolonomyClass,
+    from .deform import (
+        assemble_f,
+        build_point_f,
+        check_separation,
+        detect_z,
+        genericity_check,
     )
+    from .errors import BallExceedsChart, NonGenericCurve, WrongHolonomyClass
     from .fields import ScalarField
 
     s = _surface_from_args(args)
     comps = detect_z(s, tol_z=args.tol_z)
+    # components are built one at a time below, so their pairwise gaps are
+    # checked here, over all of them, before any is built
+    check_separation(s.spec, comps, args.r)
     total = np.zeros(s.spec.shape)
     items = []
     built = 0
@@ -263,8 +268,7 @@ def cmd_deform(args) -> int:
             built += 1
             item["status"] = "built"
             item["sup"] = f.sup()
-        except (NonGenericCurve, WrongHolonomyClass, BallExceedsChart,
-                OverlappingNeighbourhoods) as e:
+        except (NonGenericCurve, WrongHolonomyClass, BallExceedsChart) as e:
             item["status"] = "skipped"
             item["error"] = type(e).__name__
             item["detail"] = str(e)
@@ -371,27 +375,29 @@ def cmd_demo(args) -> int:
     top principal curvature leave 1 at unit rate."""
     import numpy as np
 
-    from .acceptance import _BUMP_CENTER, _BUMP_R, _SWEEP
-    from .deform import build_point_f, plateau_mask
+    from .acceptance import (
+        _BUMP_CENTER,
+        _BUMP_R,
+        _SWEEP,
+        _bump,
+        _chart,
+        _immersed,
+    )
+    from .deform import plateau_mask
     from .geometry import principal_curvatures
-    from .immersion import forms_from_immersion, immerse, normal_flow
+    from .immersion import forms_from_immersion, normal_flow
 
     fine = args.fine
     if fine % 2 or fine < 32:
         raise ValueError("--fine must be an even integer >= 32")
     center, r = _BUMP_CENTER, _BUMP_R
-    surfaces = {}
-    for n in (fine // 2, fine):
-        s = _invariant_surface(0.0, 1.0, n + 1, n, 1.0)
-        surfaces[n] = (s, build_point_f(center, r, s.spec), immerse(s))
 
     def lam_plus(n, t):
-        s, f, g = surfaces[n]
-        _, _, B = forms_from_immersion(normal_flow(g, f, t))
+        _, _, B = forms_from_immersion(normal_flow(_immersed(n), _bump(n), t))
         return principal_curvatures(B).lambda_plus.values
 
     # sweep on the fine grid: the bump plateau keeps lambda+ below 1
-    plateau = plateau_mask(surfaces[fine][0].spec, center, r)
+    plateau = plateau_mask(_chart(fine).spec, center, r)
     node_f = (fine // 2, fine // 2)
     node_c = (fine // 4, fine // 4)
     sweep = {}

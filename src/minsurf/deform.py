@@ -57,7 +57,6 @@ __all__ = [
     "plateau_mask",
     "ZComponent",
     "GenericityVerdict",
-    "DeformationProfile",
     "XiFunction",
     "XiResult",
     "GField",
@@ -70,6 +69,7 @@ __all__ = [
     "solve_xi",
     "build_G",
     "build_translation_f",
+    "check_separation",
     "assemble_f",
 ]
 
@@ -125,6 +125,11 @@ def plateau_mask(spec: GridSpec, center, r: float) -> np.ndarray:
     return point_distance(spec, center) <= r / 2 - 2 * max(spec.hx, spec.hy)
 
 
+def _saddle(x, y):
+    """The saddle (-x^2 + y^2)/2, Hessian diag(-1, 1)."""
+    return (-(x ** 2) + y ** 2) / 2.0
+
+
 # ---------------------------------------------------------------------------
 # zero-set detection
 
@@ -137,6 +142,8 @@ class ZComponent:
     coordinates, chain-ordered for curves, with y unwrapped monotonically
     along the chain on periodic charts (so a component winding around the
     cylinder is a graph over the unwrapped parameter, not a sawtooth).
+    dropped counts the nodes of a curve's skeleton that its chain walk did
+    not reach: a branch of the zero set, which no curve field covers.
     """
 
     kind: str  # "Point" | "Curve"
@@ -147,11 +154,7 @@ class ZComponent:
     diameter: float
     closed: bool = False
     line_deviation: float | None = None
-
-
-def _wrap_delta(j2: int, j1: int, ny: int) -> int:
-    d = (j2 - j1 + ny // 2) % ny - ny // 2
-    return d
+    dropped: int = 0
 
 
 def _thin_band(nodes: np.ndarray, u: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -187,8 +190,8 @@ def _order_chain(nodes: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, bool]:
     """Greedy walk through the 8-neighbour adjacency of a thin component.
 
     Returns chain-ordered nodes and the closed flag (last adjacent to first).
-    Thick components have no canonical order; the walk then covers what it
-    can, which is adequate for the diagnostic fields exposed downstream.
+    On a branched component the walk follows one path; the caller counts the
+    nodes it leaves out.
     """
     ny = spec.ny
     node_set = {(int(i), int(j)) for i, j in nodes}
@@ -226,18 +229,11 @@ def _order_chain(nodes: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, bool]:
 
 def _chain_points(chain: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Chart coordinates along the chain, unwrapping periodic y steps."""
-    xs = spec.xs
-    ys = spec.ys
-    pts = np.empty((len(chain), 2))
-    pts[0] = (xs[chain[0, 0]], ys[chain[0, 1]])
-    y = pts[0, 1]
-    for k in range(1, len(chain)):
-        i, j = chain[k]
-        if spec.periodic_y:
-            y = y + _wrap_delta(j, chain[k - 1, 1], spec.ny) * spec.hy
-        else:
-            y = ys[j]
-        pts[k] = (xs[i], y)
+    pts = np.column_stack([spec.xs[chain[:, 0]], spec.ys[chain[:, 1]]])
+    if spec.periodic_y:
+        ny = spec.ny
+        dj = (np.diff(chain[:, 1]) + ny // 2) % ny - ny // 2
+        pts[:, 1] = np.cumsum(np.append(pts[0, 1], dj * spec.hy))
     return pts
 
 
@@ -328,7 +324,8 @@ def detect_z(s: SurfaceData, tol_z: float = TOL_Z_DEFAULT) -> list[ZComponent]:
                 kind="Point", spec=spec, nodes=nodes, points=raw,
                 center=center, diameter=diam))
         else:
-            chain, closed = _order_chain(_thin_band(nodes, u, spec), spec)
+            skeleton = _thin_band(nodes, u, spec)
+            chain, closed = _order_chain(skeleton, spec)
             pts = _chain_points(chain, spec)
             center = pts.mean(axis=0)
             if spec.periodic_y:
@@ -337,7 +334,8 @@ def detect_z(s: SurfaceData, tol_z: float = TOL_Z_DEFAULT) -> list[ZComponent]:
             out.append(ZComponent(
                 kind="Curve", spec=spec, nodes=chain, points=pts,
                 center=center, diameter=diam, closed=closed,
-                line_deviation=_tls_line_deviation(pts)))
+                line_deviation=_tls_line_deviation(pts),
+                dropped=len(skeleton) - len(chain)))
     out.sort(key=lambda c: (c.center[0], c.center[1]))
     return out
 
@@ -380,7 +378,7 @@ def genericity_check(c: ZComponent, tol_line: float | None = None) -> Genericity
 
 
 def build_point_f(center, r: float, spec: GridSpec) -> ScalarField:
-    """f = phi(d) * (-x^2 + y^2)/2 in chart coordinates centered at `center`.
+    """f = phi(d) * saddle in chart coordinates centered at `center`.
 
     The bump phi is 1 on d <= r/2 and 0 on d >= r, so f coincides with the
     exact quadratic near the center (Hessian diag(-1, 1) there) and has
@@ -407,7 +405,7 @@ def build_point_f(center, r: float, spec: GridSpec) -> ScalarField:
     dx = X - cx
     dy = spec.wrap_dy(Y - cy)
     d = np.hypot(dx, dy)
-    vals = bump_profile(d, r) * (-(dx ** 2) + dy ** 2) / 2.0
+    vals = bump_profile(d, r) * _saddle(dx, dy)
     return ScalarField(spec, vals)
 
 
@@ -470,21 +468,6 @@ class CurveTube:
 
 
 @dataclass(frozen=True)
-class DeformationProfile:
-    """Metadata of one constructed field: bump radius, case, certificates."""
-
-    r: float
-    case: str  # "Point" | "HalfTurn" | "Trivial" | "Translation"
-    phi: Callable = field(repr=False, default=None)
-    h_samples: tuple | None = field(repr=False, default=None)
-    targets: tuple | None = None
-    period: float | None = None
-    xi: "XiResult | None" = field(repr=False, default=None)
-    alpha: tuple | None = None
-    constant: float | None = None
-
-
-@dataclass(frozen=True)
 class TubeField:
     """A curvature-opening field on a tube's cylinder chart.
 
@@ -496,7 +479,6 @@ class TubeField:
     tube: CurveTube
     case: str
     field: ScalarField
-    profile: DeformationProfile
     certificate: dict
     _eval: Callable = None
     _flat_core: Callable = None
@@ -514,7 +496,19 @@ class TubeField:
         return self._flat_core(np.asarray(z, dtype=float))
 
 
-def _tube_chart_check(tube: CurveTube, spec: GridSpec, r: float) -> None:
+def _tube_chart_check(tube: CurveTube, spec: GridSpec, r: float,
+                      classes: tuple, needs: str) -> float:
+    """Preamble of the tube builders: the holonomy class, equivariance of the
+    developing curve and the fit of the chart.  Returns the equivariance
+    residual."""
+    if tube.holonomy not in classes:
+        raise WrongHolonomyClass(
+            f"holonomy {tube.holonomy!r}; this construction needs {needs}")
+    res = tube.equivariance_residual()
+    if res > _EQUIV_TOL:
+        raise WrongHolonomyClass(
+            f"developing curve violates {tube.holonomy} equivariance "
+            f"by {res:.3e}")
     if not spec.periodic_y:
         raise ValueError("tube chart must be periodic in the curve direction")
     if abs(spec.period_y - tube.period) > 1e-12 * max(1.0, tube.period):
@@ -526,28 +520,21 @@ def _tube_chart_check(tube: CurveTube, spec: GridSpec, r: float) -> None:
         raise ValueError("chart s-range exceeds the tube width")
     if r > min(-xs[0], xs[-1]) + 1e-15:
         raise ValueError(f"bump radius {r} exceeds the chart s-range")
+    return res
 
 
 def build_halfturn_f(tube: CurveTube, spec: GridSpec, r: float) -> TubeField:
     """Field for a curve whose holonomy is trivial or a half turn.
 
-    f(t, s) = phi(|s|) * F(dev(t, s)) with F = (-x^2 + y^2)/2.  F is even, so
+    f(t, s) = phi(|s|) * F(dev(t, s)) with F the saddle.  F is even, so
     F(dev(t+L, s)) = F(+-dev(t, s)) = F(dev(t, s)) and f descends to the
     cylinder; |s| is the flat distance to the curve inside the tube.
     """
-    if tube.holonomy not in ("trivial", "halfturn"):
-        raise WrongHolonomyClass(
-            f"holonomy {tube.holonomy!r}; this construction needs trivial "
-            "or half-turn holonomy")
-    res = tube.equivariance_residual()
-    if res > _EQUIV_TOL:
-        raise WrongHolonomyClass(
-            f"developing curve violates {tube.holonomy} equivariance "
-            f"by {res:.3e}")
-    _tube_chart_check(tube, spec, r)
+    res = _tube_chart_check(tube, spec, r, ("trivial", "halfturn"),
+                            "trivial or half-turn holonomy")
 
     def F(z):
-        return (-(z[..., 0] ** 2) + z[..., 1] ** 2) / 2.0
+        return _saddle(z[..., 0], z[..., 1])
 
     def fval(t, s):
         return bump_profile(np.abs(s), r) * F(tube.dev(t, s))
@@ -574,8 +561,6 @@ def build_halfturn_f(tube: CurveTube, spec: GridSpec, r: float) -> TubeField:
     hess_res = float(max(np.max(np.abs(fxx + 1.0)), np.max(np.abs(fyy - 1.0))))
 
     case = "HalfTurn" if tube.holonomy == "halfturn" else "Trivial"
-    prof = DeformationProfile(r=r, case=case,
-                              phi=lambda d: bump_profile(d, r))
     cert = {
         "case": case,
         "glue_residual": glue,
@@ -583,8 +568,7 @@ def build_halfturn_f(tube: CurveTube, spec: GridSpec, r: float) -> TubeField:
         "equivariance_residual": res,
     }
     return TubeField(tube=tube, case=case, field=ScalarField(spec, vals),
-                     profile=prof, certificate=cert, _eval=fval,
-                     _flat_core=F)
+                     certificate=cert, _eval=fval, _flat_core=F)
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +616,9 @@ class XiResult:
     func: XiFunction
     coefficients: np.ndarray  # (2,)
     centers: tuple
-    width: float
     placement_index: int
-    matrix: np.ndarray  # (2, 2) moment matrix
     residual_sample: np.ndarray  # (2,) at the provided sample resolution
     residual_refined: np.ndarray  # (2,) at 4x refined resolution
-    delta_c: float
     targets: tuple
 
 
@@ -678,12 +659,12 @@ def solve_xi(xs: np.ndarray, hs: np.ndarray, x0: float, y0: float) -> XiResult:
         psi2 = lambda x: _exp_bump((np.asarray(x) - c2) / ww)
         dp1 = lambda x: _exp_bump_deriv((np.asarray(x) - c1) / ww) / ww
         dp2 = lambda x: _exp_bump_deriv((np.asarray(x) - c2) / ww) / ww
-        return (psi1, psi2), (dp1, dp2), (c1, c2), ww
+        return (psi1, psi2), (dp1, dp2), (c1, c2)
 
     hp_s = hp(xs)
     chosen = None
     for k, (centers, w) in enumerate(_PLACEMENTS):
-        (psi1, psi2), derivs, cc, ww = make_pair(centers, w)
+        (psi1, psi2), derivs, cc = make_pair(centers, w)
         M = np.array([
             [simpson(psi1(xs) * hp_s, x=xs), simpson(psi2(xs) * hp_s, x=xs)],
             [simpson(psi1(xs), x=xs), simpson(psi2(xs), x=xs)],
@@ -691,24 +672,18 @@ def solve_xi(xs: np.ndarray, hs: np.ndarray, x0: float, y0: float) -> XiResult:
         row_scale = np.linalg.norm(M[0]) * np.linalg.norm(M[1])
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
         if abs(det) >= _DET_REL_TOL * row_scale and row_scale > 0:
-            chosen = (k, (psi1, psi2), derivs, cc, ww, M)
+            chosen = (k, (psi1, psi2), derivs, cc, M)
             break
-    if (x0, y0) == (0.0, 0.0):
-        # homogeneous targets: xi = 0 regardless of conditioning
-        if chosen is None:
-            k = 0
-            (psi1, psi2), derivs, cc, ww = make_pair(*_PLACEMENTS[0])
-            M = np.zeros((2, 2))
-        else:
-            k, (psi1, psi2), derivs, cc, ww, M = chosen
-        ab = np.zeros(2)
-    elif chosen is None:
-        raise NonGenericCurve(
-            "moment system singular for every bump placement; the curve "
-            "is a straight line to quadrature accuracy")
-    else:
-        k, (psi1, psi2), derivs, cc, ww, M = chosen
-        ab = np.linalg.solve(M, np.array([x0, -y0]))
+    homogeneous = (x0, y0) == (0.0, 0.0)
+    if chosen is None:
+        if not homogeneous:
+            raise NonGenericCurve(
+                "moment system singular for every bump placement; the curve "
+                "is a straight line to quadrature accuracy")
+        chosen = (0, *make_pair(*_PLACEMENTS[0]), None)
+    k, (psi1, psi2), derivs, cc, M = chosen
+    # homogeneous targets: xi = 0 regardless of conditioning
+    ab = np.zeros(2) if homogeneous else np.linalg.solve(M, np.array([x0, -y0]))
 
     dp1, dp2 = derivs
 
@@ -746,10 +721,9 @@ def solve_xi(xs: np.ndarray, hs: np.ndarray, x0: float, y0: float) -> XiResult:
     fine = np.linspace(x_lo, x_lo + delta_c, 4 * (len(xs) - 1) + 1)
     res_fine = residuals(fine)
 
-    return XiResult(func=func, coefficients=ab, centers=cc, width=ww,
-                    placement_index=k, matrix=M,
-                    residual_sample=res_sample, residual_refined=res_fine,
-                    delta_c=delta_c, targets=(x0, y0))
+    return XiResult(func=func, coefficients=ab, centers=cc,
+                    placement_index=k, residual_sample=res_sample,
+                    residual_refined=res_fine, targets=(x0, y0))
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +734,7 @@ def solve_xi(xs: np.ndarray, hs: np.ndarray, x0: float, y0: float) -> XiResult:
 class GField:
     """G with certificate; D^2 G = [[-1 + (y-h) xi', xi], [xi, 1]].
 
-    The closed form is G(x, y) = (-x^2 + y^2)/2 + y Xi(x) - V(x) with
+    The closed form is G(x, y) = saddle(x, y) + y Xi(x) - V(x) with
     Xi = int xi and V = int int h xi''; both primitives are exact integrals
     of dense spline fits, extended by the correct constants/linear parts
     outside the construction window, so the two outer slabs are exact.
@@ -770,8 +744,6 @@ class GField:
     G: Callable = None
     constant: float = 0.0  # C in G = Psi0(. - (x0,y0)) + C on the far slab
     certificate: dict = None
-    Xi_delta: float = 0.0
-    W_delta: float = 0.0
 
 
 def _fd4_second(fun, pts, h, axis):
@@ -826,26 +798,25 @@ def build_G(h_samples: tuple, xi: "XiResult | XiFunction",
 
     W_pp = CubicSpline(xd, h_d * xip_d).antiderivative()
     V_pp = W_pp.antiderivative()
-    W_delta = float(W_pp(x_hi))
-    V_delta = float(V_pp(x_hi))
-    Xi_delta = float(func.Xi(x_hi))
+    W_hi = float(W_pp(x_hi))
+    V_hi = float(V_pp(x_hi))
 
     def V(x):
         x = np.asarray(x, dtype=float)
         xc = np.clip(x, x_lo, x_hi)
         out = np.asarray(V_pp(xc), dtype=float)
-        return np.where(x >= x_hi, V_delta + W_delta * (x - x_hi), out)
+        return np.where(x >= x_hi, V_hi + W_hi * (x - x_hi), out)
 
     def G(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return (-(x ** 2) + y ** 2) / 2.0 + y * func.Xi(x) - V(x)
+        return _saddle(x, y) + y * func.Xi(x) - V(x)
 
     X, Y = domain.nodes()
     vals = G(X, Y)
     fieldv = ScalarField(domain, vals)
 
-    psi0 = (-(X ** 2) + Y ** 2) / 2.0
+    psi0 = _saddle(X, Y)
     cert: dict = {}
     left = X <= 0.0
     cert["left_slab_residual"] = (
@@ -854,7 +825,7 @@ def build_G(h_samples: tuple, xi: "XiResult | XiFunction",
     x0t, y0t = (xi.targets if isinstance(xi, XiResult) else (np.nan, np.nan))
     right = X >= x_hi
     if right.any() and isinstance(xi, XiResult):
-        shift = (-(X[right] - x0t) ** 2 + (Y[right] - y0t) ** 2) / 2.0
+        shift = _saddle(X[right] - x0t, Y[right] - y0t)
         diff = vals[right] - shift
         Cval = float(np.mean(diff))
         cert["right_slab_constancy"] = float(np.max(diff) - np.min(diff))
@@ -865,7 +836,7 @@ def build_G(h_samples: tuple, xi: "XiResult | XiFunction",
         cert["constant"] = 0.0
     # the by-parts identity int h xi' = -int h' xi = -x0 pins W(delta)
     cert["byparts_residual"] = (
-        abs(W_delta + x0t) if isinstance(xi, XiResult) else np.nan)
+        abs(W_hi + x0t) if isinstance(xi, XiResult) else np.nan)
 
     # on-curve Hessian probe with 4th-order stencils: the O(h^2) term of a
     # centered stencil carries the large xi'' constants (it would sit near
@@ -881,8 +852,7 @@ def build_G(h_samples: tuple, xi: "XiResult | XiFunction",
     cert["curve_hessian_step"] = hfd
     cert["closedness_gate"] = gate
 
-    return GField(field=fieldv, G=G, constant=Cval, certificate=cert,
-                  Xi_delta=Xi_delta, W_delta=W_delta)
+    return GField(field=fieldv, G=G, constant=Cval, certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -939,19 +909,11 @@ def build_translation_f(tube: CurveTube, spec: GridSpec, r: float,
     periodic.  alpha is the minimal-norm linear form with
     alpha(z + hol) = alpha(z) - C.
     """
-    if tube.holonomy != "translation":
-        raise WrongHolonomyClass(
-            f"holonomy {tube.holonomy!r}; this construction needs a "
-            "translation")
+    res = _tube_chart_check(tube, spec, r, ("translation",), "a translation")
     x0, y0 = (float(v) for v in tube.hol_vector)
     if x0 == 0.0 and y0 == 0.0:
         raise ZeroHolonomyInTranslationCase(
             "zero translation part; use the trivial/half-turn construction")
-    res = tube.equivariance_residual()
-    if res > _EQUIV_TOL:
-        raise WrongHolonomyClass(
-            f"developing curve violates translation equivariance by {res:.3e}")
-    _tube_chart_check(tube, spec, r)
 
     a, b, orient = _graph_window(tube)
     flip = orient < 0
@@ -995,11 +957,18 @@ def build_translation_f(tube: CurveTube, spec: GridSpec, r: float,
         return p * z[..., 0] + q * z[..., 1]
 
     def psi_alpha(z):
-        return (-(z[..., 0] ** 2) + z[..., 1] ** 2) / 2.0 + alpha(z)
+        return _saddle(z[..., 0], z[..., 1]) + alpha(z)
+
+    branches = (psi_alpha,
+                lambda z: gf.G(z[..., 0], z[..., 1]) + alpha(z),
+                lambda z: psi_alpha(z - hol))
 
     def dev2(t, s):
         z = tube.dev(t, s)
         return (-z if flip else z) - z_a
+
+    def bumped(f, t, s):
+        return f(dev2(t, s)) * bump_profile(np.abs(s), r)
 
     def branch_value(t, s):
         """Raw three-branch formula; t unwrapped real, branches by t."""
@@ -1007,18 +976,7 @@ def build_translation_f(tube: CurveTube, spec: GridSpec, r: float,
         s = np.asarray(s, dtype=float)
         tm = np.mod(t, tube.period)
         z = dev2(tm, np.broadcast_to(s, tm.shape))
-        out = np.empty(tm.shape, dtype=float)
-        left = tm <= a
-        mid = (tm > a) & (tm < b)
-        rightm = tm >= b
-        if left.any():
-            out[left] = psi_alpha(z[left])
-        if mid.any():
-            zm = z[mid]
-            out[mid] = gf.G(zm[..., 0], zm[..., 1]) + alpha(zm)
-        if rightm.any():
-            out[rightm] = psi_alpha(z[rightm] - hol)
-        return out * bump_profile(np.abs(s), r)
+        return _three_branch(tm, a, b, z, branches) * bump_profile(np.abs(s), r)
 
     def flat_core(z):
         """Branch formula on the developing plane, selected by x(z).
@@ -1026,19 +984,7 @@ def build_translation_f(tube: CurveTube, spec: GridSpec, r: float,
         Consistent at the cuts because G equals the respective quadratic
         exactly on a band inside each slab (xi's support is interior).
         """
-        x = z[..., 0]
-        out = np.empty(x.shape, dtype=float)
-        leftz = x <= 0.0
-        midz = (x > 0.0) & (x < delta_c)
-        rightz = x >= delta_c
-        if leftz.any():
-            out[leftz] = psi_alpha(z[leftz])
-        if midz.any():
-            zm = z[midz]
-            out[midz] = gf.G(zm[..., 0], zm[..., 1]) + alpha(zm)
-        if rightz.any():
-            out[rightz] = psi_alpha(z[rightz] - hol)
-        return out
+        return _three_branch(z[..., 0], 0.0, delta_c, z, branches)
 
     S, T = spec.nodes()
     vals = branch_value(T, S)
@@ -1060,46 +1006,40 @@ def build_translation_f(tube: CurveTube, spec: GridSpec, r: float,
     tp = np.linspace(-eps, eps, 17)
     sp = np.linspace(-r, r, 9)
     TT, SS = np.meshgrid(tp, sp, indexing="ij")
-    zl = dev2(TT, SS)
-    zshift = (curve2(TT + tube.period)
-              + SS[..., None] * _flip_normal(tube, TT + tube.period, flip)) - z_a
-    f_left = psi_alpha(zl) * bump_profile(np.abs(SS), r)
-    f_right = psi_alpha(zshift - hol) * bump_profile(np.abs(SS), r)
-    cert["periodicity_residual"] = float(np.max(np.abs(f_right - f_left)))
+    cert["periodicity_residual"] = float(np.max(np.abs(
+        bumped(branches[2], TT + tube.period, SS) - bumped(branches[0], TT, SS))))
 
     # seam agreement at t = a and t = b: both branch formulas evaluated at
     # identical points; values and centered first differences in t
     def seam_residual(t_seam, f1, f2):
         tt = np.linspace(t_seam - 8 * spec.hy, t_seam + 8 * spec.hy, 9)
         TT, SS = np.meshgrid(tt, sp, indexing="ij")
-        z = dev2(TT, SS)
-        v1 = f1(z) * bump_profile(np.abs(SS), r)
-        v2 = f2(z) * bump_profile(np.abs(SS), r)
+        v1 = bumped(f1, TT, SS)
+        v2 = bumped(f2, TT, SS)
         dval = float(np.max(np.abs(v1 - v2)))
         d1 = np.diff(v1, axis=0) / spec.hy
         d2 = np.diff(v2, axis=0) / spec.hy
         return dval, float(np.max(np.abs(d1 - d2)))
 
-    Gmid = lambda z: gf.G(z[..., 0], z[..., 1]) + alpha(z)
-    va, da = seam_residual(a, psi_alpha, Gmid)
-    vb, db = seam_residual(b, Gmid, lambda z: psi_alpha(z - hol))
+    va, da = seam_residual(a, *branches[:2])
+    vb, db = seam_residual(b, *branches[1:])
     cert["seam_value_residuals"] = (va, vb)
     cert["seam_slope_residuals"] = (da, db)
 
-    prof = DeformationProfile(
-        r=r, case="Translation", phi=lambda d: bump_profile(d, r),
-        h_samples=(xs_h, hs_h), targets=(float(hol[0]), float(hol[1])),
-        period=tube.period, xi=xi_res, alpha=(float(p), float(q)),
-        constant=C)
     return TubeField(tube=tube, case="Translation",
-                     field=ScalarField(spec, vals), profile=prof,
-                     certificate=cert, _eval=branch_value,
-                     _flat_core=flat_core)
+                     field=ScalarField(spec, vals), certificate=cert,
+                     _eval=branch_value, _flat_core=flat_core)
 
 
-def _flip_normal(tube: CurveTube, t, flip: bool) -> np.ndarray:
-    n = tube.normal(t)
-    return -n if flip else n
+def _three_branch(key, lo: float, hi: float, z, branches) -> np.ndarray:
+    """branches[0](z) where key <= lo, branches[1] between, branches[2] where
+    key >= hi; each branch sees only its own points."""
+    out = np.empty(key.shape, dtype=float)
+    for sel, f in zip((key <= lo, (key > lo) & (key < hi), key >= hi),
+                      branches):
+        if sel.any():
+            out[sel] = f(z[sel])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1131,12 +1071,23 @@ def _polyline_distance(spec: GridSpec, pts: np.ndarray, closed: bool) -> np.ndar
     return best
 
 
-def _component_gap(c1: ZComponent, c2: ZComponent, spec: GridSpec) -> float:
-    a = np.column_stack([spec.xs[c1.nodes[:, 0]], spec.ys[c1.nodes[:, 1]]])
-    b = np.column_stack([spec.xs[c2.nodes[:, 0]], spec.ys[c2.nodes[:, 1]]])
-    dx = a[:, 0][:, None] - b[:, 0][None, :]
-    dy = spec.wrap_dy(a[:, 1][:, None] - b[:, 1][None, :])
-    return float(np.min(np.hypot(dx, dy)))
+def check_separation(spec: GridSpec, components: Sequence[ZComponent],
+                     r: float) -> None:
+    """Raise OverlappingNeighbourhoods, naming the first pair by index, when
+    two components lie closer than 2 r (periodic-aware), so that their
+    r-neighbourhoods, and the fields built on them, would overlap."""
+    pts = [np.column_stack([spec.xs[c.nodes[:, 0]], spec.ys[c.nodes[:, 1]]])
+           for c in components]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            a, b = pts[i], pts[j]
+            dx = a[:, 0][:, None] - b[:, 0][None, :]
+            dy = spec.wrap_dy(a[:, 1][:, None] - b[:, 1][None, :])
+            gap = float(np.min(np.hypot(dx, dy)))
+            if gap < 2 * r:
+                raise OverlappingNeighbourhoods(
+                    f"components {i} and {j} are {gap:.4g} apart; "
+                    f"r-neighbourhoods need a gap of at least {2 * r:.4g}")
 
 
 def _curve_wraps(c: ZComponent, spec: GridSpec) -> bool:
@@ -1157,22 +1108,21 @@ def assemble_f(s: SurfaceData, components: Sequence[ZComponent],
     coordinates works.  A curve that winds around the periodic direction
     carries translation holonomy equal to the period and cannot be built on
     the chart itself; such components raise WrongHolonomyClass and must go
-    through the tube constructions.
+    through the tube constructions.  A curve whose chain walk dropped nodes
+    is branched, and no curve field covers its other branches: it raises
+    NonGenericCurve.
     """
     spec = s.spec
-    for i in range(len(components)):
-        for j in range(i + 1, len(components)):
-            gap = _component_gap(components[i], components[j], spec)
-            if gap < 2 * r:
-                raise OverlappingNeighbourhoods(
-                    f"components {i} and {j} are {gap:.4g} apart; "
-                    f"r-neighbourhoods need a gap of at least {2 * r:.4g}")
+    check_separation(spec, components, r)
 
     total = np.zeros(spec.shape)
     for c in components:
         if c.kind == "Point":
             total = total + build_point_f(c.center, r, spec).values
         else:
+            if c.dropped:
+                raise NonGenericCurve(
+                    f"curve is branched: its chain walk dropped {c.dropped} nodes")
             if _curve_wraps(c, spec):
                 raise WrongHolonomyClass(
                     "curve component winds around the periodic direction; "
@@ -1182,6 +1132,5 @@ def assemble_f(s: SurfaceData, components: Sequence[ZComponent],
             X, Y = spec.nodes()
             dxq = X - c.center[0]
             dyq = spec.wrap_dy(Y - c.center[1])
-            quad = (-(dxq ** 2) + dyq ** 2) / 2.0
-            total = total + bump_profile(d, r) * quad
+            total = total + bump_profile(d, r) * _saddle(dxq, dyq)
     return ScalarField(spec, total)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.fft as sfft
@@ -36,12 +35,10 @@ from .geometry import SurfaceData, gauss_residual
 __all__ = [
     "NewtonParams",
     "PdeProblem",
-    "ContinuationResult",
     "solve",
     "residual",
     "harmonic_extension",
     "invariant_strip_problem",
-    "continuation",
 ]
 
 _DAMPING_FLOOR = 2.0**-10
@@ -79,21 +76,16 @@ class PdeProblem:
     """Dirichlet problem for Delta u = 2 cosh(2u).
 
     boundary supplies values on every non-periodic edge node (interior
-    entries of the field are ignored).  boundary_func, when set, regenerates
-    boundary data for a rescaled strip and is consulted only by continuation.
+    entries of the field are ignored).
     """
 
     spec: GridSpec
     boundary: ScalarField
-    initial_guess: ScalarField | None = None
     newton: NewtonParams = field(default_factory=NewtonParams)
-    boundary_func: Callable[[GridSpec], ScalarField] | None = None
 
     def __post_init__(self):
         if self.boundary.spec != self.spec:
             raise ValueError("boundary field lives on a different grid")
-        if self.initial_guess is not None and self.initial_guess.spec != self.spec:
-            raise ValueError("initial guess lives on a different grid")
 
 
 def _interior(spec: GridSpec) -> tuple[slice, slice]:
@@ -167,7 +159,7 @@ def _poisson_solve(spec: GridSpec, rhs: np.ndarray, shift: float) -> np.ndarray:
 
 
 def harmonic_extension(spec: GridSpec, boundary: ScalarField) -> ScalarField:
-    """Solve Delta_h v = 0 with the given Dirichlet data (default initial guess)."""
+    """Solve Delta_h v = 0 with the given Dirichlet data (solve's start)."""
     v = _poisson_solve(spec, _boundary_term(boundary), 0.0)
     return ScalarField(spec, _with_interior(boundary, v))
 
@@ -175,10 +167,10 @@ def harmonic_extension(spec: GridSpec, boundary: ScalarField) -> ScalarField:
 def solve(p: PdeProblem) -> SurfaceData:
     """Damped inexact Newton iteration for the discrete cosh-Gordon system.
 
-    Starts from p.initial_guess, or from the harmonic extension of the
-    boundary data.  Each step solves (-J) step = F by MINRES with the
-    fast-Poisson preconditioner (-L_h + s I)^-1, s = max(mean(4 sinh 2u), 0),
-    to the Eisenstat-Walker forcing term of that step.  A MINRES breakdown or
+    Starts from the harmonic extension of the boundary data.  Each step
+    solves (-J) step = F by MINRES with the fast-Poisson preconditioner
+    (-L_h + s I)^-1, s = max(mean(4 sinh 2u), 0), to the Eisenstat-Walker
+    forcing term of that step.  A MINRES breakdown or
     a non-finite step raises SingularJacobian.  When MINRES stops at its
     iteration cap (info > 0) the unconverged step is used as an inexact
     Newton step: the line search still has to reduce the true residual, and
@@ -202,10 +194,7 @@ def solve(p: PdeProblem) -> SurfaceData:
     L = _laplacian_matrix(spec)
     b = _boundary_term(p.boundary)
     absL = abs(L)
-    guess = p.initial_guess
-    if guess is None:
-        guess = harmonic_extension(spec, p.boundary)
-    v = guess.values[_interior(spec)].ravel()
+    v = harmonic_extension(spec, p.boundary).values[_interior(spec)].ravel()
 
     def F(vv):
         with np.errstate(over="ignore"):
@@ -300,15 +289,6 @@ def invariant_strip_problem(
     The exact solution is the invariant profile itself, which makes this the
     reference configuration for convergence and divergence studies.
     """
-
-    def boundary_for(spec: GridSpec) -> ScalarField:
-        vals = np.zeros(spec.shape)
-        edge = np.abs(spec.xs[[0, -1]])
-        g_edge = sol.g_at(edge)
-        vals[0, :] = g_edge[0]
-        vals[-1, :] = g_edge[1]
-        return ScalarField(spec, vals)
-
     spec = GridSpec(
         nx=nx,
         ny=ny,
@@ -317,77 +297,9 @@ def invariant_strip_problem(
         origin=(-width / 2.0, 0.0),
         periodic_y=True,
     )
-    return PdeProblem(
-        spec=spec,
-        boundary=boundary_for(spec),
-        newton=newton or NewtonParams(),
-        boundary_func=boundary_for,
-    )
-
-
-@dataclass(frozen=True)
-class ContinuationResult:
-    widths: tuple[float, ...]
-    solutions: tuple[SurfaceData, ...]
-    diverged_at: float | None
-    last_residual: float | None
-
-
-def continuation(p: PdeProblem, widths) -> ContinuationResult:
-    """Re-solve on progressively wider strips, seeding Newton from the last hit.
-
-    Node counts stay fixed; hx rescales with the width and the previous
-    solution is transported by per-row linear interpolation in x (clamped at
-    the old edges).  Stops at the first divergence and reports the width.
-    """
-    if p.boundary_func is None:
-        raise ValueError("continuation needs a PdeProblem with boundary_func")
-    widths = [float(w) for w in widths]
-    if any(w2 <= w1 for w1, w2 in zip(widths, widths[1:])):
-        raise ValueError("widths must be strictly increasing")
-
-    sols: list[SurfaceData] = []
-    done: list[float] = []
-    guess: ScalarField | None = p.initial_guess
-    prev_spec: GridSpec | None = None
-
-    for w in widths:
-        spec = GridSpec(
-            nx=p.spec.nx,
-            ny=p.spec.ny,
-            hx=w / (p.spec.nx - 1),
-            hy=p.spec.hy,
-            origin=(-w / 2.0, p.spec.origin[1]),
-            periodic_y=p.spec.periodic_y,
-        )
-        if guess is not None and prev_spec is not None:
-            vals = np.empty(spec.shape)
-            for j in range(spec.ny):
-                vals[:, j] = np.interp(spec.xs, prev_spec.xs, guess.values[:, j])
-            seed = ScalarField(spec, vals)
-        else:
-            seed = None
-        prob = PdeProblem(
-            spec=spec,
-            boundary=p.boundary_func(spec),
-            initial_guess=seed,
-            newton=p.newton,
-            boundary_func=p.boundary_func,
-        )
-        try:
-            s = solve(prob)
-        except NewtonDiverged as exc:
-            return ContinuationResult(
-                widths=tuple(done),
-                solutions=tuple(sols),
-                diverged_at=w,
-                last_residual=exc.residual,
-            )
-        sols.append(s)
-        done.append(w)
-        guess = s.u
-        prev_spec = spec
-
-    return ContinuationResult(
-        widths=tuple(done), solutions=tuple(sols), diverged_at=None, last_residual=None
-    )
+    vals = np.zeros(spec.shape)
+    g_edge = sol.g_at(np.abs(spec.xs[[0, -1]]))
+    vals[0, :] = g_edge[0]
+    vals[-1, :] = g_edge[1]
+    return PdeProblem(spec=spec, boundary=ScalarField(spec, vals),
+                      newton=newton or NewtonParams())

@@ -20,8 +20,6 @@ differences in t (immersion_fd_rate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import NotOnZ
@@ -44,8 +42,6 @@ __all__ = [
     "shape_rate",
     "curvature_rate_at_Z",
     "immersion_fd_rate",
-    "VariationReport",
-    "variation_report",
 ]
 
 
@@ -159,57 +155,3 @@ def immersion_fd_rate(
     plus = forms_from_immersion(normal_flow(g, f, +t))[pick[which]]
     minus = forms_from_immersion(normal_flow(g, f, -t))[pick[which]]
     return (plus - minus) * (0.5 / t)
-
-
-@dataclass(frozen=True)
-class VariationReport:
-    """Formula-vs-oracle comparison for one variation formula."""
-
-    name: str
-    sup_discrepancy: float
-    t: float
-    h: float
-    formula: OperatorField = field(repr=False)
-    fd: OperatorField = field(repr=False)
-
-    def summary(self) -> dict:
-        return {
-            "formula": self.name,
-            "sup_discrepancy": self.sup_discrepancy,
-            "fd_step_t": self.t,
-            "grid_h": self.h,
-        }
-
-
-_FORMULAS = {
-    "I": metric_rate,
-    "II": second_form_rate,
-    "B": shape_rate,
-}
-
-
-def variation_report(
-    s: SurfaceData,
-    f: ScalarField,
-    which: str = "B",
-    t: float = 1e-5,
-) -> VariationReport:
-    """Evaluate one variation formula and its immersion oracle, interior sup.
-
-    Symmetric (0,2) rates are compared entrywise against the unsymmetrized
-    oracle output, so the reported discrepancy includes the oracle's own
-    off-diagonal O(h^2) asymmetry; tolerances are stated for the interior.
-    """
-    if which not in _FORMULAS:
-        raise ValueError(f"which must be one of {list(_FORMULAS)}, got {which!r}")
-    formula = _FORMULAS[which](s, f)
-    fd = immersion_fd_rate(s, f, t=t, which=which)
-    diff = formula - fd
-    return VariationReport(
-        name=which,
-        sup_discrepancy=diff.sup(interior_only=True),
-        t=t,
-        h=max(s.spec.hx, s.spec.hy),
-        formula=formula,
-        fd=fd,
-    )

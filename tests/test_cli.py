@@ -75,6 +75,22 @@ def solved_csv(tmp_path_factory):
     return csv
 
 
+def chart_csv(path, zeros):
+    """A 65 x 65 chart, u = 1 except u = 0 at the given nodes."""
+    from minsurf.fields import GridSpec, ScalarField
+    spec = GridSpec(nx=65, ny=65, hx=1 / 64, hy=1 / 64, origin=(-0.5, -0.5),
+                    periodic_y=False)
+    u = np.ones(spec.shape)
+    for idx in zeros:
+        u[idx] = 0.0
+    ScalarField(spec, u).to_csv(path)
+    return path
+
+
+# a T-shaped zero set: one curve whose chain walk covers 45 of 67 nodes
+T_ZEROS = [(32, np.s_[10:55]), (np.s_[10:32], 32)]
+
+
 class TestZlocus:
     def test_detects_axis_curve_at_discretization_tolerance(
             self, solved_csv, tmp_path):
@@ -133,8 +149,37 @@ class TestZlocus:
         err = capsys.readouterr().err
         assert str(bad) in err and "bad grid header" in err
 
+    def test_branched_curve_reports_dropped_nodes(self, tmp_path):
+        out = tmp_path / "z.json"
+        csv = chart_csv(tmp_path / "t.csv", T_ZEROS)
+        assert run(["zlocus", "--input", str(csv), "--out", str(out)]) == 0
+        (comp,) = load(out)["components"]
+        assert comp["nodes"] == 45 and comp["dropped_nodes"] == 22
+
 
 class TestDeform:
+    def test_branched_curve_is_skipped(self, tmp_path):
+        out = tmp_path / "d.json"
+        csv = chart_csv(tmp_path / "t.csv", T_ZEROS)
+        assert run(["deform", "--input", str(csv), "--r", "0.1",
+                    "--out", str(out)]) == 0
+        (comp,) = load(out)["components"]
+        assert comp["status"] == "skipped"
+        assert comp["error"] == "NonGenericCurve"
+        assert load(out)["built"] == 0
+
+    def test_overlapping_components_are_refused(self, tmp_path, capsys):
+        # two zeros 10 steps apart, r = 0.2: built one at a time, each field
+        # would pass and their sum would be wrong at both zeros
+        csv = chart_csv(tmp_path / "two.csv", [(32, 27), (32, 37)])
+        out = tmp_path / "d.json"
+        assert run(["deform", "--input", str(csv), "--r", "0.2",
+                    "--out", str(out)]) == 64
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "OverlappingNeighbourhoods" in err
+        assert "components 0 and 1" in err
+
     def test_straight_curve_is_skipped_not_fatal(self, tmp_path):
         out = tmp_path / "d.json"
         assert run(["deform", "--out", str(out)]) == 0

@@ -65,6 +65,14 @@ class TestPointDistance:
 # zero locus
 
 
+def t_chart():
+    spec = GridSpec(nx=65, ny=65, hx=1 / 64, hy=1 / 64, origin=(-0.5, -0.5),
+                    periodic_y=False)
+    u = np.ones(spec.shape)
+    u[32, 10:55] = u[10:32, 32] = 0.0
+    return SurfaceData(ScalarField(spec, u))
+
+
 class TestDetectZ:
     def test_invariant_chart_axis_curve(self, chart64):
         comps = deform.detect_z(chart64)
@@ -86,6 +94,20 @@ class TestDetectZ:
         assert len(c.nodes) == 64
         assert c.line_deviation == pytest.approx(0.0, abs=1e-12)
         assert 0.0 <= c.center[1] < 1.0
+
+    @pytest.mark.parametrize("tol_z", [1e-8, 1e-4, 1e-2])
+    def test_invariant_chart_drops_no_nodes(self, chart64, tol_z):
+        assert [c.dropped for c in deform.detect_z(chart64, tol_z)] == [0]
+
+    def test_branched_curve_reports_dropped_nodes(self):
+        # a T: the chain walk follows one path of 45 nodes; the other 22
+        # must be counted, not lost
+        s = t_chart()
+        comps = deform.detect_z(s)
+        assert len(comps) == 1
+        c = comps[0]
+        assert c.kind == "Curve"
+        assert len(c.nodes) == 45 and c.dropped == 22
 
     def test_positive_profile_has_empty_locus(self, sol05):
         from minsurf.invariant_ode import to_surface
@@ -405,6 +427,11 @@ class TestAssembleF:
         f = deform.assemble_f(s, comps, r=0.3)
         direct = deform.build_point_f((0.0, 0.5), 0.3, s.spec)
         assert np.array_equal(f.values, direct.values)
+
+    def test_branched_curve_is_refused(self):
+        s = t_chart()
+        with pytest.raises(NonGenericCurve, match="dropped 22 nodes"):
+            deform.assemble_f(s, deform.detect_z(s), r=0.1)
 
     def test_winding_curve_needs_tube_construction(self, chart64):
         comps = deform.detect_z(chart64)

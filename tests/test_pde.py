@@ -22,15 +22,12 @@ def square_problem(width: float, c: float, n: int = 33) -> pde.PdeProblem:
 
 def strip_problem(width: float, c: float, nx: int = 49,
                   ny: int = 32) -> pde.PdeProblem:
-    def bfor(spec):
-        vals = np.zeros(spec.shape)
-        vals[0, :] = c
-        vals[-1, :] = c
-        return ScalarField(spec, vals)
-
     spec = GridSpec(nx=nx, ny=ny, hx=width / (nx - 1), hy=1.0 / ny,
                     origin=(-width / 2, 0.0), periodic_y=True)
-    return pde.PdeProblem(spec=spec, boundary=bfor(spec), boundary_func=bfor)
+    vals = np.zeros(spec.shape)
+    vals[0, :] = c
+    vals[-1, :] = c
+    return pde.PdeProblem(spec=spec, boundary=ScalarField(spec, vals))
 
 
 def sign_changing_square(n: int = 33) -> pde.PdeProblem:
@@ -153,14 +150,6 @@ class TestSolve:
         handlers = logging.getLogger("minsurf").handlers
         assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
-    def test_nan_guess_rejected(self):
-        p = square_problem(0.4, 0.0)
-        bad = np.zeros(p.spec.shape)
-        bad[3, 3] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            pde.PdeProblem(spec=p.spec, boundary=p.boundary,
-                           initial_guess=ScalarField(p.spec, bad))
-
 
 class TestComparisonPrinciple:
     # Width 0.5: every such problem is solvable (wider strips with negative
@@ -222,34 +211,6 @@ class TestHarmonicExtension:
         lin = ScalarField.from_function(spec, lambda x, y: 0.7 * x - 0.1)
         he = pde.harmonic_extension(spec, lin)
         assert np.max(np.abs(he.values - lin.values)) <= 1e-12
-
-
-class TestContinuation:
-    def test_invariant_family(self, sol0):
-        p = pde.invariant_strip_problem(sol0, 0.2, nx=33, ny=32)
-        res = pde.continuation(p, [0.2, 0.4, 0.6])
-        assert res.widths == (0.2, 0.4, 0.6)
-        assert res.diverged_at is None
-        for s in res.solutions:
-            assert pde.residual(s) <= 1e-10
-
-    def test_empty_width_list(self, sol0):
-        p = pde.invariant_strip_problem(sol0, 0.2, nx=33, ny=32)
-        res = pde.continuation(p, [])
-        assert res.widths == () and res.solutions == ()
-        assert res.diverged_at is None
-
-    def test_truncates_at_divergence(self):
-        res = pde.continuation(strip_problem(0.8, 0.0),
-                               [0.8, 1.0, 1.2, 1.4])
-        assert res.widths == (0.8, 1.0, 1.2)
-        assert res.diverged_at == 1.4
-        assert res.last_residual is not None and res.last_residual > 0.1
-
-    def test_rejects_unsorted_widths(self, sol0):
-        p = pde.invariant_strip_problem(sol0, 0.2, nx=33, ny=32)
-        with pytest.raises(ValueError, match="increasing"):
-            pde.continuation(p, [0.4, 0.3])
 
 
 class TestInvariantStripProblem:

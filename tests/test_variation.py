@@ -140,6 +140,22 @@ class TestImmersionOracle:
         d21 = (r2 - r1).sup(interior_only=True)
         assert 3.5 <= d42 / d21 <= 4.5
 
+    @pytest.mark.parametrize("which,rate", [("I", var.metric_rate),
+                                            ("II", var.second_form_rate)])
+    def test_form_rate_gap_shrinks_at_second_order(self, chart32, chart64,
+                                                   which, rate):
+        # on the bump plateau f is an exact quadratic, so what separates
+        # the formula from the oracle is the oracle's own O(h^2) error
+        center, r = (0.0, 0.5), 0.45
+        gaps = []
+        for s in (chart32, chart64):
+            f = deform.build_point_f(center, r, s.spec)
+            fd = var.immersion_fd_rate(s, f, t=1e-3, which=which)
+            plateau = deform.plateau_mask(s.spec, center, r)
+            gaps.append(np.max(np.abs((rate(s, f) - fd).mat[plateau])))
+        assert gaps[1] <= 1e-3
+        assert gaps[0] / gaps[1] >= 3.5
+
 
 class TestCurvatureRateAtZ:
     def test_quadratic_profile_gives_unit_rates(self, chart64, bump64):
@@ -156,12 +172,3 @@ class TestCurvatureRateAtZ:
     def test_off_axis_rejected(self, chart64, bump64):
         with pytest.raises(NotOnZ):
             var.curvature_rate_at_Z(chart64, bump64, (10, 16))
-
-
-class TestVariationReport:
-    def test_report_for_each_formula(self, chart64, bump64):
-        for name in ("B", "I", "II"):
-            rep = var.variation_report(chart64, bump64, which=name, t=1e-3)
-            assert rep.sup_discrepancy >= 0.0
-            d = rep.summary()
-            assert d["formula"] == name and "sup_discrepancy" in d
