@@ -461,7 +461,10 @@ def _10_translation_field():
 @_timed
 def _11_flow_opens_curvatures():
     """max lambda+ over the bump plateau stays strictly below 1 for every
-    flow time in [1e-4, 1e-2]."""
+    flow time in [1e-4, 1e-2].
+
+    Only lambda+ on the plateau is checked: lambda- and the nodes outside
+    the plateau (the bump's transition ring) are not."""
     n = 128
     s = _chart(n)
     f = _bump(n)

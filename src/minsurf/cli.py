@@ -238,8 +238,14 @@ def cmd_deform(args) -> int:
         check_separation,
         detect_z,
         genericity_check,
+        point_distance,
     )
-    from .errors import BallExceedsChart, NonGenericCurve, WrongHolonomyClass
+    from .errors import (
+        BallExceedsChart,
+        NonGenericCurve,
+        OverlappingNeighbourhoods,
+        WrongHolonomyClass,
+    )
     from .fields import ScalarField
 
     s = _surface_from_args(args)
@@ -275,6 +281,17 @@ def cmd_deform(args) -> int:
         items.append(item)
 
     if args.bump_center is not None:
+        # the requested bump must keep clear of every field built above
+        dist = point_distance(s.spec, args.bump_center)
+        need = args.r + args.bump_r
+        for i, (c, item) in enumerate(zip(comps, items)):
+            if item["status"] != "built":
+                continue
+            gap = float(dist[c.nodes[:, 0], c.nodes[:, 1]].min())
+            if gap < need:
+                raise OverlappingNeighbourhoods(
+                    f"requested bump and component {i} are {gap:.4g} apart; "
+                    f"their neighbourhoods need a gap of at least {need:.4g}")
         f = build_point_f(args.bump_center, args.bump_r, s.spec)
         total += f.values
         built += 1
@@ -409,10 +426,11 @@ def cmd_demo(args) -> int:
         }
     plateau_ok = all(v["plateau_max"] < 1.0 for v in sweep.values())
 
-    # at t = 1e-3 the center value matches 1 - t to 1e-5 once the O(h^2)
-    # recovery bias is removed by Richardson extrapolation across h, h/2
+    # at t = 1e-3 (a sweep time) the center value matches 1 - t to 1e-5 once
+    # the O(h^2) recovery bias is removed by Richardson extrapolation across
+    # h, h/2
     t_ref = 1e-3
-    lam_f = lam_plus(fine, t_ref)[node_f]
+    lam_f = sweep[t_ref]["center"]
     lam_c = lam_plus(fine // 2, t_ref)[node_c]
     center_extrap = float((4.0 * lam_f - lam_c) / 3.0)
     center_err = abs(center_extrap - (1.0 - t_ref))

@@ -118,8 +118,9 @@ class GridSpec:
 
 
 def _as_grid_array(values, shape: tuple, name: str) -> np.ndarray:
-    """Read-only float copy of per-node values, checked for shape and finiteness."""
-    a = np.array(values, dtype=float, copy=True)
+    """Read-only C-ordered float copy of per-node values, checked for shape
+    and finiteness."""
+    a = np.array(values, dtype=float, copy=True, order="C")
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, grid wants {shape}")
     if not np.all(np.isfinite(a)):

@@ -18,6 +18,7 @@ chart (u >= 0) it is the closure of the curvature-extreme set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,34 +86,52 @@ def third_form(s: SurfaceData) -> OperatorField:
 
 @dataclass(frozen=True)
 class PrincipalCurvatures:
-    """Eigen-data of a shape operator field.
+    """Eigen-data of a shape operator field B.
 
-    e_plus / e_minus are unit eigenvectors (w.r.t. the supplied metric, else
-    Euclidean), fixed by the sign convention: nonnegative x-component, ties
-    broken by nonnegative y-component. `defined` is False at (near-)umbilic
-    nodes, where the frame entries fall back to the coordinate axes.
+    The eigenvalues and `defined` are computed on construction; the
+    eigenframe is computed on first read of e_plus / e_minus.  These are
+    unit eigenvectors (w.r.t. `metric`, else Euclidean), fixed by the sign
+    convention: nonnegative x-component, ties broken by nonnegative
+    y-component. `defined` is False at (near-)umbilic nodes, where the frame
+    entries fall back to the coordinate axes.
     """
 
     lambda_plus: ScalarField
     lambda_minus: ScalarField
-    e_plus: np.ndarray = field(repr=False)
-    e_minus: np.ndarray = field(repr=False)
     defined: np.ndarray = field(repr=False)
+    B: OperatorField = field(repr=False)
+    metric: OperatorField | None = field(default=None, repr=False)
+
+    @cached_property
+    def e_plus(self) -> np.ndarray:
+        return self._frame(self.lambda_plus.values, (1.0, 0.0))
+
+    @cached_property
+    def e_minus(self) -> np.ndarray:
+        return self._frame(self.lambda_minus.values, (0.0, 1.0))
+
+    def _frame(self, lam, axis) -> np.ndarray:
+        B = self.B
+        v = _fix_sign(_metric_normalize(
+            _eigvec(B.a11, B.a12, B.a21, B.a22, lam), self.metric))
+        fallback = _metric_normalize(np.broadcast_to(axis, v.shape), self.metric)
+        return np.where(self.defined[..., None], v, fallback)
 
 
 def _eigvec(a, b, c, d, lam) -> np.ndarray:
     """Nullspace direction of ([[a,b],[c,d]] - lam) for stacked scalars."""
     # rows of (A - lam): (a-lam, b) and (c, d-lam); the nullspace vector can be
     # read off either row, pick the numerically larger candidate
-    v1 = np.stack([b, lam - a], axis=-1)
-    v2 = np.stack([lam - d, c], axis=-1)
-    n1 = np.linalg.norm(v1, axis=-1)
-    n2 = np.linalg.norm(v2, axis=-1)
-    v = np.where((n1 >= n2)[..., None], v1, v2)
-    n = np.linalg.norm(v, axis=-1)
+    x1, y1, x2, y2 = b, lam - a, lam - d, c
+    n1 = np.hypot(x1, y1)
+    n2 = np.hypot(x2, y2)
+    pick = n1 >= n2
+    n = np.where(pick, n1, n2)
     deg = n < 1e-300  # exactly umbilic node, caller masks it out
-    v = np.where(deg[..., None], np.array([1.0, 0.0]), v / np.where(deg, 1.0, n)[..., None])
-    return v
+    n = np.where(deg, 1.0, n)
+    x = np.where(deg, 1.0, np.where(pick, x1, x2) / n)
+    y = np.where(deg, 0.0, np.where(pick, y1, y2) / n)
+    return np.stack([x, y], axis=-1)
 
 
 def _metric_normalize(v: np.ndarray, metric: OperatorField | None) -> np.ndarray:
@@ -137,7 +156,7 @@ def principal_curvatures(
     metric: OperatorField | None = None,
     disc_tol: float = UMBILIC_TOL,
 ) -> PrincipalCurvatures:
-    """Eigenvalues/eigenframe of the shape operator field.
+    """Eigenvalues of the shape operator field, eigenframe on demand.
 
     Raises ComplexEigenvalues if the discriminant tr^2 - 4 det drops below
     -disc_tol anywhere; near-umbilic nodes (discriminant below +disc_tol)
@@ -150,25 +169,13 @@ def principal_curvatures(
     if dmin < -disc_tol:
         raise ComplexEigenvalues(dmin)
     sq = np.sqrt(np.maximum(disc, 0.0))
-    lam_p = 0.5 * (tr + sq)
-    lam_m = 0.5 * (tr - sq)
-    defined = disc > disc_tol
-
-    a, b, c, d = B.a11, B.a12, B.a21, B.a22
-    e_p = _fix_sign(_metric_normalize(_eigvec(a, b, c, d, lam_p), metric))
-    e_m = _fix_sign(_metric_normalize(_eigvec(a, b, c, d, lam_m), metric))
-    axis_x = np.broadcast_to(np.array([1.0, 0.0]), e_p.shape)
-    axis_y = np.broadcast_to(np.array([0.0, 1.0]), e_m.shape)
-    e_p = np.where(defined[..., None], e_p, _metric_normalize(axis_x.copy(), metric))
-    e_m = np.where(defined[..., None], e_m, _metric_normalize(axis_y.copy(), metric))
-
     spec = B.spec
     return PrincipalCurvatures(
-        lambda_plus=ScalarField(spec, lam_p),
-        lambda_minus=ScalarField(spec, lam_m),
-        e_plus=e_p,
-        e_minus=e_m,
-        defined=defined,
+        lambda_plus=ScalarField(spec, 0.5 * (tr + sq)),
+        lambda_minus=ScalarField(spec, 0.5 * (tr - sq)),
+        defined=disc > disc_tol,
+        B=B,
+        metric=metric,
     )
 
 

@@ -180,6 +180,30 @@ class TestDeform:
         assert "OverlappingNeighbourhoods" in err
         assert "components 0 and 1" in err
 
+    def test_bump_overlapping_a_built_component_is_refused(
+            self, tmp_path, capsys):
+        # one zero at (0, -0.078125), the requested bump 10 steps away: each
+        # field alone would pass and their sum would be wrong at the zero
+        csv = chart_csv(tmp_path / "one.csv", [(32, 27)])
+        out, field = tmp_path / "d.json", tmp_path / "f.csv"
+        assert run(["deform", "--input", str(csv), "--r", "0.1",
+                    "--bump-center", "0.0,0.078125", "--bump-r", "0.25",
+                    "--field-csv", str(field), "--out", str(out)]) == 64
+        assert not out.exists() and not field.exists()
+        err = capsys.readouterr().err
+        assert "OverlappingNeighbourhoods" in err
+        assert "requested bump and component 0" in err
+
+    def test_bump_clear_of_built_components_is_built(self, tmp_path):
+        csv = chart_csv(tmp_path / "one.csv", [(32, 27)])
+        out = tmp_path / "d.json"
+        assert run(["deform", "--input", str(csv), "--r", "0.1",
+                    "--bump-center", "0.0,0.3", "--bump-r", "0.2",
+                    "--out", str(out)]) == 0
+        rep = load(out)
+        assert rep["built"] == 2
+        assert [c["status"] for c in rep["components"]] == ["built", "built"]
+
     def test_straight_curve_is_skipped_not_fatal(self, tmp_path):
         out = tmp_path / "d.json"
         assert run(["deform", "--out", str(out)]) == 0
@@ -237,9 +261,22 @@ class TestVerify:
 
 
 class TestDemo:
-    def test_demo_passes_at_reduced_resolution(self, tmp_path):
+    def test_demo_passes_at_reduced_resolution(self, tmp_path, monkeypatch):
+        from minsurf import acceptance, immersion
+        flows = []
+        inner = immersion.normal_flow
+
+        def counted(g, f, t):
+            flows.append((g.spec.ny, t))
+            return inner(g, f, t)
+
+        monkeypatch.setattr(immersion, "normal_flow", counted)
         out = tmp_path / "demo.json"
         assert run(["demo", "--fine", "64", "--out", str(out)]) == 0
+        # each sweep time once on the fine grid, then t = 1e-3 on the coarse
+        # grid and t = -1e-3 on the fine one: no flow is repeated
+        assert sorted(flows) == sorted(
+            [(64, t) for t in acceptance._SWEEP] + [(32, 1e-3), (64, -1e-3)])
         rep = load(out)
         assert rep["passed"] is True
         assert rep["center_error_vs_1_minus_t"] <= rep["center_tolerance"]

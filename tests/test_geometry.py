@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from minsurf import geometry
 from minsurf.fields import GridSpec, OperatorField, ScalarField
 from minsurf.geometry import (
     SurfaceData,
@@ -51,6 +52,29 @@ class TestEmbeddingData:
         junk = SurfaceData(ScalarField.from_function(
             spec, lambda x, y: 0.5 * np.sin(6 * np.pi * y)))
         assert gauss_residual(junk).sup(interior_only=True) > 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(nx=st.integers(4, 12), ny=st.integers(4, 12),
+           hx=st.floats(0.01, 0.2), hy=st.floats(0.01, 0.2),
+           ox=st.floats(-1.0, 1.0), oy=st.floats(-1.0, 1.0),
+           k=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+    def test_gauss_residual_exact_on_quadratics(self, nx, ny, hx, hy, ox, oy,
+                                                k):
+        # the 3-point and one-sided 4-point stencils are exact on quadratics,
+        # so Delta_h u = 2 (a + b) at every node, edges included
+        a, b, c, d, e, f = k
+        spec = GridSpec(nx=nx, ny=ny, hx=hx, hy=hy, origin=(ox, oy),
+                        periodic_y=False)
+        X, Y = spec.nodes()
+        terms = (a * X * X, b * Y * Y, c * X * Y, d * X, e * Y,
+                 np.full(spec.shape, f))
+        s = SurfaceData(ScalarField(spec, sum(terms)))
+        cosh = 2.0 * np.cosh(2.0 * s.u.values)
+        scale = np.max(sum(np.abs(t) for t in terms))
+        eps = np.finfo(float).eps
+        tol = 64 * eps * (scale / min(hx, hy) ** 2 + np.max(cosh))
+        res = gauss_residual(s).values
+        assert np.max(np.abs(res - (2.0 * (a + b) - cosh))) <= tol
 
     def test_weakly_bounded_certificate(self):
         spec = GridSpec(nx=5, ny=5, hx=0.1, hy=0.1, origin=(0, 0),
@@ -137,6 +161,103 @@ class TestPrincipalCurvatures:
         II = OperatorField.from_components(spec, p, q, q, r)
         pc = principal_curvatures(I.inverse() @ II, metric=I)
         assert np.all(pc.lambda_minus.values <= pc.lambda_plus.values)
+
+
+def eager_frame(B, lam, metric, axis, defined):
+    """The eigenframe as principal_curvatures built it before frames became
+    lazy: norm-based row pick, metric normalization, sign fix, axis fallback."""
+    a, b, c, d = B.a11, B.a12, B.a21, B.a22
+    v1 = np.stack([b, lam - a], axis=-1)
+    v2 = np.stack([lam - d, c], axis=-1)
+    n1 = np.linalg.norm(v1, axis=-1)
+    n2 = np.linalg.norm(v2, axis=-1)
+    v = np.where((n1 >= n2)[..., None], v1, v2)
+    n = np.linalg.norm(v, axis=-1)
+    deg = n < 1e-300
+    v = np.where(deg[..., None], np.array([1.0, 0.0]),
+                 v / np.where(deg, 1.0, n)[..., None])
+
+    def normalize(w):
+        if metric is None:
+            return w / np.linalg.norm(w, axis=-1, keepdims=True)
+        g = metric.mat
+        q = (g[..., 0, 0] * w[..., 0] ** 2
+             + (g[..., 0, 1] + g[..., 1, 0]) * w[..., 0] * w[..., 1]
+             + g[..., 1, 1] * w[..., 1] ** 2)
+        return w / np.sqrt(q)[..., None]
+
+    v = normalize(v)
+    flip = (v[..., 0] < 0) | ((v[..., 0] == 0) & (v[..., 1] < 0))
+    v = np.where(flip[..., None], -v, v)
+    fallback = normalize(np.broadcast_to(np.array(axis), v.shape).copy())
+    return np.where(defined[..., None], v, fallback)
+
+
+class TestLazyFrames:
+    def spec(self):
+        return GridSpec(nx=4, ny=5, hx=0.1, hy=0.1, periodic_y=False)
+
+    def test_eigenvalues_alone_never_build_frames(self, chart64, monkeypatch):
+        calls = []
+        inner = geometry._eigvec
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(geometry, "_eigvec", counted)
+        I, _, B = embedding_data(chart64)
+        for metric in (None, I):
+            pc = principal_curvatures(B, metric=metric)
+            assert pc.lambda_plus.values.shape == chart64.spec.shape
+            assert pc.lambda_minus.values.shape == chart64.spec.shape
+            assert pc.defined.shape == chart64.spec.shape
+        assert calls == []
+        pc.e_plus
+        pc.e_plus
+        assert len(calls) == 1  # computed once, then cached
+        pc.e_minus
+        assert len(calls) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), with_metric=st.booleans())
+    def test_lazy_frames_equal_eager_construction(self, data, with_metric):
+        # B = I^-1 II with I positive definite and II symmetric has real
+        # eigenvalues; II = k I on the drawn umbilic nodes
+        spec = self.spec()
+
+        def draw(lo, hi, dtype=float):
+            elements = (st.booleans() if dtype is bool
+                        else st.floats(lo, hi))
+            return data.draw(arrays(dtype, spec.shape, elements=elements))
+
+        th, l1, l2 = draw(0.0, np.pi), draw(0.5, 2.0), draw(0.5, 2.0)
+        c, s = np.cos(th), np.sin(th)
+        g = (c * c * l1 + s * s * l2, c * s * (l1 - l2), s * s * l1 + c * c * l2)
+        I = OperatorField.from_components(spec, g[0], g[1], g[1], g[2])
+        p, q, r, k = (draw(-1.0, 1.0) for _ in range(4))
+        umbilic = draw(None, None, bool)
+        II = OperatorField.from_components(
+            spec, np.where(umbilic, k * g[0], p), np.where(umbilic, k * g[1], q),
+            np.where(umbilic, k * g[1], q), np.where(umbilic, k * g[2], r))
+        B = I.inverse() @ II
+        metric = I if with_metric else None
+        pc = principal_curvatures(B, metric=metric)
+        assert not pc.defined[umbilic].any()
+        disc = B.trace() ** 2 - 4.0 * B.det()
+        separated = disc > 1e-6
+        for lazy, lam, axis in ((pc.e_plus, pc.lambda_plus, (1.0, 0.0)),
+                                (pc.e_minus, pc.lambda_minus, (0.0, 1.0))):
+            eager = eager_frame(B, lam.values, metric, axis, pc.defined)
+            # undefined nodes take the same axis fallback, bit for bit
+            assert np.array_equal(lazy[~pc.defined], eager[~pc.defined])
+            # separated nodes agree to rounding; the sign convention can
+            # only differ where the x-component itself is at rounding level
+            diff = np.minimum(np.abs(lazy - eager).max(axis=-1),
+                              np.abs(lazy + eager).max(axis=-1))
+            assert np.all(diff[separated] <= 1e-9)
+            clear = separated & (np.abs(eager[..., 0]) > 1e-6)
+            assert np.allclose(lazy[clear], eager[clear], rtol=0, atol=1e-9)
 
 
 class TestChristoffel:

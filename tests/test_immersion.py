@@ -29,6 +29,39 @@ def geodesic_plane_grid(nx=17, ny=13):
     return imm.ImmersionGrid(spec=spec, sigma=sigma, nu=nu)
 
 
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+def boost(rapidity: float, axis: int = 1) -> np.ndarray:
+    """Lorentz boost mixing t with spatial axis (1, 2 or 3)."""
+    L = np.eye(4)
+    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
+    L[0, 0] = ch
+    L[0, axis] = sh
+    L[axis, 0] = sh
+    L[axis, axis] = ch
+    return L
+
+
+def rotation(angle: float, i: int = 1, j: int = 2) -> np.ndarray:
+    """Spatial rotation in the (i, j) plane, i, j in {1, 2, 3}."""
+    R = np.eye(4)
+    c, s = np.cos(angle), np.sin(angle)
+    R[i, i] = c
+    R[j, j] = c
+    R[i, j] = -s
+    R[j, i] = s
+    return R
+
+
+def apply_isometry(g: imm.ImmersionGrid, L: np.ndarray) -> imm.ImmersionGrid:
+    """Apply a time-orientation-preserving ambient isometry to the samples."""
+    assert np.allclose(L.T @ ETA @ L, ETA, atol=1e-12)
+    sigma = np.einsum("ab,ijb->ija", L, g.sigma)
+    nu = np.einsum("ab,ijb->ija", L, g.nu)
+    return imm.ImmersionGrid(spec=g.spec, sigma=sigma, nu=nu)
+
+
 def periodic_chart(sol, n):
     spec = GridSpec(nx=n + 1, ny=n, hx=1.0 / n, hy=1.0 / n,
                     origin=(-0.5, 0.0), periodic_y=True)
@@ -173,6 +206,20 @@ class TestImmerse:
         with pytest.raises(ValueError, match="order"):
             imm.immerse(chart32, order="diagonal")
 
+    @pytest.mark.parametrize("order", ["rows_then_columns",
+                                       "columns_then_rows"])
+    def test_drift_past_hard_limit_raises(self, chart32, caplog, monkeypatch,
+                                          order):
+        with caplog.at_level(logging.DEBUG, logger="minsurf.immersion"):
+            imm.immerse(chart32, order=order)
+        drifts = {r.args[0]: r.args[1] for r in caplog.records
+                  if r.name == "minsurf.immersion" and len(r.args) == 2}
+        sweep = max(drifts, key=drifts.get)
+        monkeypatch.setattr(imm, "_DRIFT_HARD", drifts[sweep] / 2)
+        with pytest.raises(ConstraintDrift, match=f"{sweep} sweep") as exc:
+            imm.immerse(chart32, order=order)
+        assert drifts[sweep] / 2 < exc.value.drift <= drifts[sweep]
+
     def test_incompatible_chart_raises(self):
         spec = GridSpec(nx=65, ny=64, hx=1 / 64, hy=1 / 64,
                         origin=(-0.5, 0.0), periodic_y=True)
@@ -235,6 +282,23 @@ def normal_by_det(a, b, c):
 entries = st.floats(-10.0, 10.0).map(lambda v: v if abs(v) >= 1e-6 else 0.0)
 
 
+class TestMinkowskiDot:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_einsum_definition(self, data):
+        # leading axes of any length, including none (single 4-vectors)
+        shape = (*data.draw(st.lists(st.integers(1, 5), max_size=3)), 4)
+        a, b = (data.draw(arrays(float, shape, elements=st.floats(-1e3, 1e3)))
+                for _ in range(2))
+        ref = np.einsum("...i,...i->...", a * np.array([-1.0, 1.0, 1.0, 1.0]),
+                        b)
+        got = imm.minkowski_dot(a, b)
+        assert np.shape(got) == np.shape(ref)
+        # equal up to the order of a 4-term sum
+        bound = 4 * np.finfo(float).eps * np.sum(np.abs(a * b), axis=-1)
+        assert np.all(np.abs(got - ref) <= bound)
+
+
 class TestMinkowskiNormal:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -260,8 +324,8 @@ class TestFormsFromImmersion:
         assert np.all(I.det()[g.spec.interior_mask()] > 0)
 
     def test_isometry_invariance(self, imm64):
-        L = imm.boost(0.3, axis=1) @ imm.rotation(0.7, 1, 2)
-        moved = imm.apply_isometry(imm64, L)
+        L = boost(0.3, axis=1) @ rotation(0.7, 1, 2)
+        moved = apply_isometry(imm64, L)
         IA, IIA, BA = imm.forms_from_immersion(imm64)
         IB, IIB, BB = imm.forms_from_immersion(moved)
         assert (IA - IB).sup() <= 1e-12
@@ -298,11 +362,9 @@ class TestSerialization:
 
 class TestIsometries:
     def test_boost_preserves_minkowski_form(self):
-        L = imm.boost(0.4, axis=2)
-        eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-        assert np.allclose(L.T @ eta @ L, eta, atol=1e-14)
+        L = boost(0.4, axis=2)
+        assert np.allclose(L.T @ ETA @ L, ETA, atol=1e-14)
 
     def test_rotation_preserves_minkowski_form(self):
-        L = imm.rotation(1.1, 2, 3)
-        eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-        assert np.allclose(L.T @ eta @ L, eta, atol=1e-14)
+        L = rotation(1.1, 2, 3)
+        assert np.allclose(L.T @ ETA @ L, ETA, atol=1e-14)
