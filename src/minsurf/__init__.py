@@ -45,6 +45,7 @@ _EXPORTS = {
     "OperatorField": ".fields",
     "MinsurfError": ".errors",
     "BlowUp": ".errors",
+    "IntegratorFailure": ".errors",
     "QuadratureFailure": ".errors",
     "DomainExceedsDelta": ".errors",
     "ComplexEigenvalues": ".errors",

@@ -252,7 +252,7 @@ def _04_immersion_round_trip():
     drift = 0.0
     for n in (32, 64):
         s = _chart(n)
-        g = immerse(s)
+        g = _immersed(n)
         drift = max(drift, g.constraint_drift())
         rec = forms_from_immersion(g)
         exact = embedding_data(s)
@@ -284,7 +284,8 @@ def _05_shape_rate_vs_immersion():
         s = _chart(n)
         f = _bump(n)
         rate = variation.shape_rate(s, f)
-        fd = variation.immersion_fd_rate(s, f, t=_FLOW_T, which="B")
+        fd = variation.immersion_fd_rate(_immersed(n), f, t=_FLOW_T,
+                                         which="B")
         gap = np.abs((rate - fd).mat).max(axis=(-2, -1))
         plateau = deform.plateau_mask(s.spec, _BUMP_CENTER, _BUMP_R)
         discs[n] = float(np.max(gap[plateau]))

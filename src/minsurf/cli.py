@@ -555,6 +555,7 @@ def main(argv=None) -> int:
         ComplexEigenvalues,
         ConstraintDrift,
         DegenerateTangents,
+        IntegratorFailure,
         MinsurfError,
         NewtonDiverged,
         QuadratureFailure,
@@ -564,7 +565,7 @@ def main(argv=None) -> int:
 
     diverged = (NewtonDiverged, BlowUp, SingularJacobian, DegenerateTangents,
                 ConstraintDrift, SingularMetric, ComplexEigenvalues,
-                QuadratureFailure)
+                QuadratureFailure, IntegratorFailure)
     try:
         return args.fn(args)
     except diverged as e:

@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import ndimage
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BallExceedsChart,
@@ -247,6 +248,35 @@ def _tls_line_deviation(pts: np.ndarray) -> float:
     return float(np.max(np.abs(q @ normal)))
 
 
+def _components(mask: np.ndarray, periodic_y: bool) -> list[np.ndarray]:
+    """8-connected components of a boolean grid as (k, 2) node arrays.
+
+    y is taken mod ny when periodic_y.  Components come in the row-major
+    order of their first node, and each lists its nodes in row-major order.
+    """
+    nx, ny = mask.shape
+    flat = np.flatnonzero(mask)
+    ii, jj = np.divmod(flat, ny)
+    pos = np.full(mask.size, -1)
+    pos[flat] = np.arange(flat.size)
+    # row k: node k's neighbours at 4 of the 8 offsets, which reach every edge
+    i2 = ii[:, None] + (0, 1, 1, 1)
+    j2 = jj[:, None] + (1, -1, 0, 1)
+    if periodic_y:
+        j2 %= ny
+    ok = (i2 < nx) & (j2 >= 0) & (j2 < ny)
+    nb = np.where(ok, pos[np.where(ok, i2 * ny + j2, 0)], -1)
+    edge = nb >= 0
+    indptr = np.append(0, np.cumsum(edge.sum(axis=1)))
+    graph = csr_matrix((np.ones(indptr[-1]), nb[edge], indptr),
+                       shape=(flat.size,) * 2)
+    # csgraph numbers components by their first node, here row-major
+    _, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(np.column_stack([ii, jj])[order],
+                    np.cumsum(np.bincount(labels))[:-1])
+
+
 def detect_z(s: SurfaceData, tol_z: float = TOL_Z_DEFAULT) -> list[ZComponent]:
     """Connected components of {u <= tol_z}, classified as points or curves.
 
@@ -263,43 +293,9 @@ def detect_z(s: SurfaceData, tol_z: float = TOL_Z_DEFAULT) -> list[ZComponent]:
     if not mask.any():
         return []
 
-    labels, nlab = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
-
-    # merge labels identified across the periodic y seam (8-connectivity)
-    parent = list(range(nlab + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    if spec.periodic_y and spec.ny >= 2:
-        left = labels[:, 0]
-        right = labels[:, -1]
-        nx = spec.nx
-        for i in range(nx):
-            if left[i] == 0:
-                continue
-            for di in (-1, 0, 1):
-                k = i + di
-                if 0 <= k < nx and right[k] != 0:
-                    union(int(left[i]), int(right[k]))
-
-    groups: dict[int, list] = {}
-    idx = np.argwhere(labels > 0)
-    for i, j in idx:
-        groups.setdefault(find(int(labels[i, j])), []).append((int(i), int(j)))
-
     h = max(spec.hx, spec.hy)
     out = []
-    for nodes in groups.values():
-        nodes = np.array(sorted(nodes), dtype=int)
+    for nodes in _components(mask, spec.periodic_y):
         raw = np.column_stack([spec.xs[nodes[:, 0]], spec.ys[nodes[:, 1]]])
         if len(nodes) > 40:
             # certainly a curve: skip the quadratic pairwise scan and use

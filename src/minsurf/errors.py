@@ -36,6 +36,10 @@ class BlowUp(MinsurfError):
         )
 
 
+class IntegratorFailure(MinsurfError):
+    """The ODE integrator stopped short of x_max without blowing up."""
+
+
 class QuadratureFailure(MinsurfError):
     """Adaptive quadrature did not reach the requested accuracy."""
 

@@ -17,13 +17,15 @@ integral_0^X e^g dx dominates g(X) - v0 (completeness margin).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
+from scipy.integrate import cumulative_trapezoid, ode, quad
 from scipy.interpolate import CubicHermiteSpline
 
-from .errors import BlowUp, DomainExceedsDelta, QuadratureFailure
+from .errors import (BlowUp, DomainExceedsDelta, IntegratorFailure,
+                     QuadratureFailure)
 from .fields import GridSpec, ScalarField
 from .geometry import SurfaceData
 
@@ -38,10 +40,12 @@ __all__ = [
     "to_surface",
 ]
 
-# past this value one RK45 step of g' ~ e^g falls below float64 spacing, the
+# past this value one DOPRI5 step of g' ~ e^g falls below float64 spacing, the
 # integrator stalls, and the abscissa reached approximates delta to ~1e-11
 _STALL_G = 25.0
 _GUARD_G = 300.0
+# DOPRI5's step cap; a blow-up takes about 1e3 accepted steps at rtol 1e-10
+_MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -115,10 +119,11 @@ def integrate(
     atol: float | None = None,
     estimate_width: bool = True,
 ) -> OdeSolution:
-    """Integrate the profile from 0 to x_max with adaptive RK.
+    """Integrate the profile from 0 to x_max with adaptive Dormand-Prince 5(4).
 
     Raises BlowUp(x_reached, g_reached) if the profile leaves the
     representable range first; the abscissa it carries approximates delta(v0).
+    Any other integrator failure raises IntegratorFailure.
     """
     if v0 < 0:
         raise ValueError(f"v0 must be nonnegative, got {v0}")
@@ -127,37 +132,39 @@ def integrate(
     if atol is None:
         atol = rtol * 1e-2
 
-    guard = lambda x, y: y[0] - _GUARD_G
-    guard.terminal = True
-    guard.direction = 1.0
+    rows = []  # (x, g, g') at every accepted step, x = 0 included
 
-    with np.errstate(over="ignore"):
-        sol = solve_ivp(
-            _rhs,
-            (0.0, float(x_max)),
-            [float(v0), 0.0],
-            method="RK45",
-            rtol=rtol,
-            atol=atol,
-            events=[guard],
-            dense_output=False,
-        )
+    def accept(x, y):
+        rows.append((x, y[0], y[1]))
+        return -1 if y[0] > _GUARD_G else 0
 
-    if sol.status == 1:  # guard event fired
-        raise BlowUp(sol.t_events[0][0], _GUARD_G)
-    if sol.status == -1:
-        g_end = float(sol.y[0, -1])
-        if g_end > _STALL_G:
-            # step-size underflow against dg/dx ~ e^g: the blow-up signature
-            raise BlowUp(float(sol.t[-1]), g_end)
-        raise RuntimeError(f"integrator failed at x = {sol.t[-1]:.6g}: {sol.message}")
+    r = ode(_rhs).set_integrator("dopri5", rtol=rtol, atol=atol,
+                                 nsteps=_MAX_STEPS)
+    r.set_solout(accept)
+    r.set_initial_value([float(v0), 0.0], 0.0)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "dopri5: step size becomes too small",
+                                UserWarning)
+        r.integrate(float(x_max))
+    code = r.get_return_code()
+    # scipy's dopri5 wrapper keeps its integrator object alive after the
+    # call (scipy 1.17): detach the callback, or each call leaks its samples
+    r.set_solout(None)
+    xs, g, gp = np.array(rows).T
+    # code 2: the guard stopped it; code -3: step-size underflow against
+    # dg/dx ~ e^g.  Both are the blow-up signature
+    if code == 2 or (code == -3 and g[-1] > _STALL_G):
+        raise BlowUp(xs[-1], g[-1])
+    if code < 0:
+        raise IntegratorFailure(
+            f"DOPRI5 failed at x = {xs[-1]:.6g} (return code {code})")
 
     delta = estimate_delta(v0) if estimate_width else np.inf
     return OdeSolution(
         v0=float(v0),
-        xs=sol.t,
-        g=sol.y[0],
-        gp=sol.y[1],
+        xs=xs,
+        g=g,
+        gp=gp,
         delta_est=float(delta),
         rtol=float(rtol),
         atol=float(atol),

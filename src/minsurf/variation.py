@@ -21,17 +21,12 @@ differences in t (immersion_fd_rate).
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import NotOnZ
 from .fields import OperatorField, ScalarField, diff1, diff2
-from .geometry import (
-    SurfaceData,
-    christoffel,
-    embedding_data,
-    principal_curvatures,
-    third_form,
-)
-from .immersion import forms_from_immersion, immerse, normal_flow
+from .geometry import SurfaceData, christoffel, embedding_data, third_form
+from .immersion import ImmersionGrid, forms_from_immersion, normal_flow
 
 __all__ = [
     "cov_hessian",
@@ -121,26 +116,22 @@ def curvature_rate_at_Z(
     uval = float(s.u.values[i, j])
     if abs(uval) > tol_z:
         raise NotOnZ(f"u[{i},{j}] = {uval:.3e} exceeds tol_z = {tol_z:.1e}")
-    I, _, B = embedding_data(s)
-    frames = principal_curvatures(B, metric=I)
+    I, II, _ = embedding_data(s)
+    # II v = lambda I v at the node: eigenvalues of B ascending, columns I-unit
+    em, ep = eigh(II.mat[i, j], I.mat[i, j])[1].T
     H = cov_hessian(s, f).mat[i, j]
-    ep = frames.e_plus[i, j]
-    em = frames.e_minus[i, j]
-    rate_p = float(ep @ H @ ep)
-    rate_m = float(em @ H @ em)
-    return rate_p, rate_m
+    return float(ep @ H @ ep), float(em @ H @ em)
 
 
 def immersion_fd_rate(
-    s: SurfaceData,
+    g: ImmersionGrid,
     f: ScalarField,
     t: float = 1e-5,
     which: str = "B",
-    order: str = "rows_then_columns",
 ) -> OperatorField:
     """Oracle: central difference in t of forms recovered from flowed immersions.
 
-    Flows the immersed chart by +-t f along the normal, recovers (I, II, B)
+    Flows the immersed chart g by +-t f along the normal, recovers (I, II, B)
     by finite differences on each flowed surface, and differences in t.  The
     spatial FD error is O(h^2) but identical on both branches to leading
     order, so it cancels in the t-difference; the result is accurate to
@@ -151,7 +142,6 @@ def immersion_fd_rate(
         raise ValueError(f"which must be one of {list(pick)}, got {which!r}")
     if not t > 0:
         raise ValueError("t must be positive")
-    g = immerse(s, order=order)
     plus = forms_from_immersion(normal_flow(g, f, +t))[pick[which]]
     minus = forms_from_immersion(normal_flow(g, f, -t))[pick[which]]
     return (plus - minus) * (0.5 / t)

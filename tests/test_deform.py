@@ -1,7 +1,12 @@
 """Zero-locus detection and the curvature-opening field constructions."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from minsurf.fields import GridSpec, ScalarField
 from minsurf import deform
@@ -73,7 +78,64 @@ def t_chart():
     return SurfaceData(ScalarField(spec, u))
 
 
+def flood_fill_groups(mask, periodic_y):
+    """8-connected components by breadth-first search, in row-major order of
+    their first node, each sorted row-major."""
+    nx, ny = mask.shape
+    seen = np.zeros_like(mask)
+    groups = []
+    for i in range(nx):
+        for j in range(ny):
+            if not mask[i, j] or seen[i, j]:
+                continue
+            seen[i, j] = True
+            queue, group = deque([(i, j)]), []
+            while queue:
+                a, b = queue.popleft()
+                group.append((a, b))
+                for da in (-1, 0, 1):
+                    for db in (-1, 0, 1):
+                        p, q = a + da, b + db
+                        if periodic_y:
+                            q %= ny
+                        if (0 <= p < nx and 0 <= q < ny and mask[p, q]
+                                and not seen[p, q]):
+                            seen[p, q] = True
+                            queue.append((p, q))
+            groups.append(sorted(group))
+    return groups
+
+
 class TestDetectZ:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_groups_match_flood_fill(self, data):
+        nx = data.draw(st.integers(3, 11))
+        ny = data.draw(st.integers(3, 11))
+        periodic = data.draw(st.booleans())
+        mask = data.draw(arrays(bool, (nx, ny)))
+        assume(mask.any())
+        expected = flood_fill_groups(mask, periodic)
+        got = deform._components(mask, periodic)
+        assert [g.tolist() for g in got] == [list(map(list, g))
+                                             for g in expected]
+        # detect_z builds one component per group from that group's nodes
+        # (a curve keeps its thinned chain only)
+        spec = GridSpec(nx=nx, ny=ny, hx=0.1, hy=0.1, origin=(0.0, 0.0),
+                        periodic_y=periodic)
+        u = ScalarField(spec, np.where(mask, 0.0, 1.0))
+        comps = deform.detect_z(SurfaceData(u), tol_z=0.5)
+        owner = {node: k for k, g in enumerate(expected) for node in g}
+        hit = []
+        for c in comps:
+            nodes = list(map(tuple, c.nodes.tolist()))
+            k = owner[nodes[0]]
+            assert all(owner[node] == k for node in nodes)
+            if c.kind == "Point":
+                assert nodes == expected[k]
+            hit.append(k)
+        assert sorted(hit) == list(range(len(expected)))
+
     def test_invariant_chart_axis_curve(self, chart64):
         comps = deform.detect_z(chart64)
         assert len(comps) == 1

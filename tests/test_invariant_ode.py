@@ -1,11 +1,17 @@
 """Invariant profile: integration, blow-up width, length growth."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minsurf.fields import GridSpec
 from minsurf import invariant_ode as iode
-from minsurf.errors import BlowUp, DomainExceedsDelta
+from minsurf.cli import main
+from minsurf.errors import BlowUp, DomainExceedsDelta, IntegratorFailure
 
 # half-widths of the maximal strips, frozen from the closed-form quadrature
 DELTA = {
@@ -77,6 +83,56 @@ class TestBlowUp:
             iode.integrate(v0, DELTA[v0] + 0.1, estimate_width=False)
         assert exc.value.x_reached == pytest.approx(DELTA[v0], abs=1e-6)
         assert exc.value.g_reached > 10.0
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(v0=st.floats(0.0, 1.0))
+    def test_profile_invariants_over_v0(self, v0):
+        d = iode.estimate_delta(v0)
+        sol = iode.integrate(v0, 0.9 * d, rtol=1e-10)
+        # the residual is absolute and grows like sinh 2g: at v0 = 1 it
+        # reaches 1.9e-8 by 0.9 delta, so it is bounded relative to that scale
+        scale = np.maximum(1.0, 2.0 * np.sinh(2.0 * sol.g))
+        assert np.all(iode.first_integral_residuals(sol) <= 1e-9 * scale)
+        with pytest.raises(BlowUp) as exc:
+            iode.integrate(v0, d + 0.1, estimate_width=False)
+        assert abs(exc.value.x_reached - d) <= 1e-6
+        assert exc.value.g_reached > 10.0
+
+
+    def test_blowups_retain_no_step_samples(self):
+        # each blow-up accepts about 1e3 steps; none of them may outlive
+        # the call that made them
+        def blow_up():
+            with pytest.raises(BlowUp):
+                iode.integrate(0.0, DELTA[0.0] + 0.1, estimate_width=False)
+
+        blow_up()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                blow_up()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 50_000
+
+
+class TestIntegratorFailure:
+    def test_step_cap_is_a_typed_failure(self, monkeypatch):
+        monkeypatch.setattr(iode, "_MAX_STEPS", 5)
+        with pytest.warns(UserWarning, match="larger nsteps"):
+            with pytest.raises(IntegratorFailure, match="return code -2"):
+                iode.integrate(0.0, 1.0)
+
+    def test_cli_exits_with_diverged_code(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(iode, "_MAX_STEPS", 5)
+        with pytest.warns(UserWarning, match="larger nsteps"):
+            rc = main(["ode", "--v0", "0", "--out", str(tmp_path / "r.json")])
+        assert rc == 2
 
 
 class TestLengthLowerBound:

@@ -121,21 +121,21 @@ class TestAlgebraicIdentities:
 
 
 class TestImmersionOracle:
-    def test_shape_rate_matches_fd(self, chart64, bump64):
+    def test_shape_rate_matches_fd(self, chart64, imm64, bump64):
         rate = var.shape_rate(chart64, bump64)
-        fd = var.immersion_fd_rate(chart64, bump64, t=1e-3, which="B")
+        fd = var.immersion_fd_rate(imm64, bump64, t=1e-3, which="B")
         spec = chart64.spec
         d = deform.point_distance(spec, (0.0, 0.5))
         mask = (d <= 0.45 / 2 - 2 * max(spec.hx, spec.hy)) \
             & spec.interior_mask()
         assert np.max(np.abs((rate - fd).mat[mask])) <= 1e-3
 
-    def test_t_refinement_is_second_order(self, chart64, bump64):
+    def test_t_refinement_is_second_order(self, imm64, bump64):
         # paired differences cancel the h-dependent part of the oracle
         # error, isolating the O(t^2) term
-        r4 = var.immersion_fd_rate(chart64, bump64, t=4e-3, which="B")
-        r2 = var.immersion_fd_rate(chart64, bump64, t=2e-3, which="B")
-        r1 = var.immersion_fd_rate(chart64, bump64, t=1e-3, which="B")
+        r4 = var.immersion_fd_rate(imm64, bump64, t=4e-3, which="B")
+        r2 = var.immersion_fd_rate(imm64, bump64, t=2e-3, which="B")
+        r1 = var.immersion_fd_rate(imm64, bump64, t=1e-3, which="B")
         d42 = (r4 - r2).sup(interior_only=True)
         d21 = (r2 - r1).sup(interior_only=True)
         assert 3.5 <= d42 / d21 <= 4.5
@@ -143,14 +143,14 @@ class TestImmersionOracle:
     @pytest.mark.parametrize("which,rate", [("I", var.metric_rate),
                                             ("II", var.second_form_rate)])
     def test_form_rate_gap_shrinks_at_second_order(self, chart32, chart64,
-                                                   which, rate):
+                                                   imm32, imm64, which, rate):
         # on the bump plateau f is an exact quadratic, so what separates
         # the formula from the oracle is the oracle's own O(h^2) error
         center, r = (0.0, 0.5), 0.45
         gaps = []
-        for s in (chart32, chart64):
+        for s, g in ((chart32, imm32), (chart64, imm64)):
             f = deform.build_point_f(center, r, s.spec)
-            fd = var.immersion_fd_rate(s, f, t=1e-3, which=which)
+            fd = var.immersion_fd_rate(g, f, t=1e-3, which=which)
             plateau = deform.plateau_mask(s.spec, center, r)
             gaps.append(np.max(np.abs((rate(s, f) - fd).mat[plateau])))
         assert gaps[1] <= 1e-3
