@@ -343,26 +343,39 @@ _CSV_CHUNK_ROWS = 4096  # rows formatted per write, bounding the text buffer
 _CSV_XY_TOL = 1e-6  # allowed x/y offset from the header grid, in grid steps
 
 
-def _write_rows(fh, names, blocks) -> None:
+def _write_rows(fh, names, blocks, axes=()) -> None:
     """Write a line of column names, then one row per sample.
 
-    blocks are (rows, k) arrays side by side, together len(names) columns.
+    blocks are (rows, k) arrays side by side.  axes, if given, is the
+    (xs, ys) of a grid the rows run through, j fastest: each row then starts
+    with its node's x and y, each axis value formatted once.
     """
-    fmt = ",".join(["%.17g"] * len(names)) + "\n"
+    k = sum(b.shape[1] for b in blocks)
+    p = 1 if axes else 0  # one "%s" slot per row for its "x,y," text
+    row = "%s" * p + ",".join(["%.17g"] * k) + "\n"
+    if axes:
+        xs_txt, ys_txt = (["%.17g," % v for v in a.tolist()] for a in axes)
+        ny = len(ys_txt)
     fh.write(",".join(names) + "\n")
     for start in range(0, len(blocks[0]), _CSV_CHUNK_ROWS):
         chunk = np.hstack([b[start:start + _CSV_CHUNK_ROWS] for b in blocks])
-        fh.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+        m = len(chunk)
+        args = [None] * (m * (p + k))
+        if axes:
+            args[::p + k] = [xs_txt[r // ny] + ys_txt[r % ny]
+                             for r in range(start, start + m)]
+        for c in range(k):
+            args[p + c::p + k] = chunk[:, c].tolist()
+        fh.write((row * m) % tuple(args))
 
 
 def _write_grid_csv(path, spec: GridSpec, names, blocks) -> None:
     """Grid CSV of per-node values; each block is (nx, ny) or (nx, ny, k)."""
     n = spec.nx * spec.ny
-    X, Y = spec.nodes()
-    blocks = [np.reshape(b, (n, -1)) for b in (X, Y, *blocks)]
+    blocks = [np.reshape(b, (n, -1)) for b in blocks]
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(spec.to_json_dict(), sort_keys=True) + "\n")
-        _write_rows(fh, ["x", "y", *names], blocks)
+        _write_rows(fh, ["x", "y", *names], blocks, (spec.xs, spec.ys))
 
 
 def _read_grid_csv(path, names) -> tuple[GridSpec, np.ndarray]:

@@ -19,7 +19,10 @@ whose flatness is exactly the cosh-Gordon equation, so the frame
 lines: base row first, then every column in lockstep.  After each step the
 frame is re-projected onto the constraint set (<sigma,sigma> = -1,
 <nu,nu> = 1, <sigma,nu> = 0, nu normal to the tangents), which keeps drift at
-rounding level without changing the order of the method.
+rounding level without changing the order of the method.  normal_flow
+re-imposes only the constraints on what it returns, sigma' and nu': its
+normal is a cross product with the tangents, orthogonal to them by
+construction, and the tangents themselves are discarded unprojected.
 """
 
 from __future__ import annotations
@@ -135,7 +138,8 @@ class ImmersionGrid:
 
 
 def _project(frame, ss):
-    """Re-impose the constraint set on a stacked frame, in place.
+    """Re-impose the constraint set on a stacked frame, in place (used by
+    _march; normal_flow returns no tangents and constrains its own output).
 
     frame is (sigma, sigma_x, sigma_y, nu) stacked into one (4, ..., 4) array
     whose leading axes broadcast, and ss = <sigma, sigma>, as _drift has
@@ -358,22 +362,24 @@ def normal_flow(g: ImmersionGrid, f: ScalarField, t: float) -> ImmersionGrid:
     normalization, orientation matched to the transported normal
     sinh(tf) sigma + cosh(tf) nu.  The minimum tangent Gram determinant is
     logged at DEBUG on the "minsurf.immersion" logger.
+
+    Only what is returned is re-constrained: sigma' is normalized to
+    <sigma', sigma'> = -1 and the rounding-level sigma'-component of the
+    normal is stripped.  The cross product is orthogonal to sigma' and to
+    both tangents by construction, so the tangents, which are not returned,
+    are not projected, and no Gram solve against them is needed.
     """
     if f.spec != g.spec:
         raise ValueError("profile lives on a different grid")
     spec = g.spec
     a = t * f.values[..., None]
     ch, sh = np.cosh(a), np.sinh(a)
-    # the flowed frame (sigma', its tangents, its normal), filled in place
-    frame = np.empty((4, *g.sigma.shape))
-    sigma1, tx, ty, nu1 = frame
-    sigma1[...] = ch * g.sigma + sh * g.nu
-    nu_transport = sh * g.sigma + ch * g.nu
+    sigma1 = ch * g.sigma + sh * g.nu
 
     # ambient samples never wrap: the immersion of a periodic chart does not
     # close up in H^3, so y-edges take one-sided stencils like x-edges
-    tx[...] = diff1(sigma1, spec.hx, axis=0)
-    ty[...] = diff1(sigma1, spec.hy, axis=1)
+    tx = diff1(sigma1, spec.hx, axis=0)
+    ty = diff1(sigma1, spec.hy, axis=1)
 
     g11 = minkowski_dot(tx, tx)
     g12 = minkowski_dot(tx, ty)
@@ -383,19 +389,17 @@ def normal_flow(g: ImmersionGrid, f: ScalarField, t: float) -> ImmersionGrid:
     if np.any(g11 <= 0) or gram_min <= 0:
         raise DegenerateTangents(f"min tangent Gram determinant {gram_min:.3e}")
 
+    sigma1 /= np.sqrt(-minkowski_dot(sigma1, sigma1))[..., None]
     n = minkowski_normal(sigma1, tx, ty)
+    n += minkowski_dot(n, sigma1)[..., None] * sigma1
     nn = minkowski_dot(n, n)
     if np.any(nn <= 0):
         raise DegenerateTangents("recovered normal is not spacelike")
-    n = n / np.sqrt(nn)[..., None]
-    orient = np.sign(minkowski_dot(n, nu_transport))
+    orient = np.sign(minkowski_dot(n, sh * g.sigma + ch * g.nu))
     if np.any(orient == 0):
         raise DegenerateTangents("recovered normal orthogonal to transported normal")
-    nu1[...] = n * orient[..., None]
-
-    # strip rounding-level drift before the constructor's hard check
-    _project(frame, minkowski_dot(sigma1, sigma1))
-    return ImmersionGrid(spec=spec, sigma=sigma1, nu=nu1)
+    n *= (orient / np.sqrt(nn))[..., None]
+    return ImmersionGrid(spec=spec, sigma=sigma1, nu=n)
 
 
 def forms_from_immersion(
@@ -412,26 +416,25 @@ def forms_from_immersion(
     spec = g.spec
     sx = diff1(g.sigma, spec.hx, axis=0)
     sy = diff1(g.sigma, spec.hy, axis=1)
-    nx_ = diff1(g.nu, spec.hx, axis=0)
-    ny_ = diff1(g.nu, spec.hy, axis=1)
-
+    g12 = minkowski_dot(sx, sy)
     I = OperatorField.from_components(
-        spec,
-        minkowski_dot(sx, sx),
-        minkowski_dot(sx, sy),
-        minkowski_dot(sy, sx),
-        minkowski_dot(sy, sy),
+        spec, minkowski_dot(sx, sx), g12, g12, minkowski_dot(sy, sy)
     )
-    if np.any(I.a11 <= 0) or np.any(I.det() <= 0):
+    det = I.det()
+    if np.any(I.a11 <= 0) or np.any(det <= 0):
         raise SingularMetric(
-            f"recovered metric not positive definite (min det {float(I.det().min()):.3e})"
+            f"recovered metric not positive definite (min det {float(det.min()):.3e})"
         )
-    II = OperatorField.from_components(
-        spec,
-        -minkowski_dot(nx_, sx),
-        -minkowski_dot(nx_, sy),
-        -minkowski_dot(ny_, sx),
-        -minkowski_dot(ny_, sy),
-    )
-    B = I.inverse() @ II
-    return I, II, B
+    # II and B are filled entry by entry: separate dot arrays raise the peak
+    dnu = (diff1(g.nu, spec.hx, axis=0), diff1(g.nu, spec.hy, axis=1))
+    ii = np.empty((*spec.shape, 2, 2))
+    for r, c in np.ndindex(2, 2):
+        ii[..., r, c] = -minkowski_dot(dnu[r], (sx, sy)[c])
+    del sx, sy, dnu  # B needs no ambient differences; freeing them caps the peak
+    # B = adj(I) II / det I, from views of both matrices
+    i, b = I.mat, np.empty_like(ii)
+    for r, c in np.ndindex(2, 2):
+        s = 1 - r
+        b[..., r, c] = i[..., s, s] * ii[..., r, c] - i[..., r, s] * ii[..., s, c]
+    b /= det[..., None, None]
+    return I, OperatorField(spec, ii), OperatorField(spec, b)

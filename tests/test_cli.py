@@ -40,6 +40,32 @@ class TestOde:
         assert run(["ode", "--v0", "0", "--x-frac", "1.05",
                     "--out", str(tmp_path / "r.json")]) == 2
 
+    def test_large_v0_profile_passes(self, tmp_path):
+        # the absolute residual exceeds 100 tol here (1.9e-8 > 1e-8): it
+        # grows like sinh 2g, so it is judged relative to its terms
+        out = tmp_path / "r.json"
+        assert run(["ode", "--v0", "1", "--out", str(out)]) == 0
+        rep = load(out)
+        assert rep["first_integral_residual"] > rep["residual_bound"]
+        assert rep["first_integral_relative_residual"] <= rep["residual_bound"]
+
+    @pytest.mark.parametrize("v0", ["0", "1"])
+    def test_wrong_slope_fails(self, tmp_path, monkeypatch, v0):
+        from dataclasses import replace
+
+        from minsurf import invariant_ode
+
+        inner = invariant_ode.integrate
+
+        def perturbed(*args, **kwargs):
+            sol = inner(*args, **kwargs)
+            return replace(sol, gp=sol.gp * (1.0 + 1e-6))
+
+        monkeypatch.setattr(invariant_ode, "integrate", perturbed)
+        out = tmp_path / "r.json"
+        assert run(["ode", "--v0", v0, "--out", str(out)]) == 1
+        assert load(out)["passed"] is False
+
     def test_csv_export(self, tmp_path):
         csv = tmp_path / "samples.csv"
         assert run(["ode", "--v0", "0.5", "--csv", str(csv),

@@ -1,11 +1,14 @@
 """Grid bookkeeping, finite differences, and field serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from minsurf import fields
 from minsurf.fields import (
     GridSpec,
     OperatorField,
@@ -14,6 +17,7 @@ from minsurf.fields import (
     diff2,
     laplacian,
 )
+from minsurf.immersion import ImmersionGrid, minkowski_dot
 
 
 def spec_np(nx=21, ny=17):
@@ -236,6 +240,75 @@ class TestCodecProperties:
         A.to_csv(p)
         B = OperatorField.from_csv(p)
         assert B.spec == spec and bits(B.mat) == bits(A.mat)
+
+
+def reference_csv(spec: GridSpec, names, columns) -> bytes:
+    """The grid CSV format written one value at a time: the header, then
+    x, y and every column at "%.17g" per node, j fastest."""
+    X, Y = spec.nodes()
+    lines = ["# " + json.dumps(spec.to_json_dict(), sort_keys=True),
+             ",".join(["x", "y", *names])]
+    for row in zip(X.ravel(), Y.ravel(), *columns):
+        lines.append(",".join("%.17g" % float(v) for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def random_immersion(data, spec: GridSpec) -> ImmersionGrid:
+    """Points of H^3 with unit normals, drawn node by node."""
+    coords = arrays(float, (*spec.shape, 3), elements=st.floats(-30.0, 30.0))
+    p, q = data.draw(coords), data.draw(coords)
+    sigma = np.concatenate([np.sqrt(1.0 + np.sum(p * p, -1))[..., None], p], -1)
+    nu = np.concatenate([np.zeros((*spec.shape, 1)), q], -1)
+    nu[..., 3] += 1.0 + np.abs(q[..., 2])  # spatial, never parallel to sigma
+    nu += minkowski_dot(nu, sigma)[..., None] * sigma
+    nu /= np.sqrt(minkowski_dot(nu, nu))[..., None]
+    return ImmersionGrid(spec, sigma, nu)
+
+
+class TestWriterMatchesReference:
+    """Every grid writer produces exactly the bytes of reference_csv, also
+    when rows straddle the writer's chunks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), chunk=st.sampled_from([7, fields._CSV_CHUNK_ROWS]))
+    def test_scalar_and_operator_fields(self, data, chunk, tmp_path_factory):
+        spec = data.draw(grid_specs())
+        n = spec.nx * spec.ny
+        f = ScalarField(spec, data.draw(arrays(float, spec.shape,
+                                               elements=node_values)))
+        A = OperatorField(spec, data.draw(arrays(
+            float, (spec.nx, spec.ny, 2, 2), elements=node_values)))
+        d = tmp_path_factory.mktemp("writer")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields, "_CSV_CHUNK_ROWS", chunk)
+            f.to_csv(d / "f.csv")
+            A.to_csv(d / "a.csv")
+        assert (d / "f.csv").read_bytes() == reference_csv(
+            spec, ["v"], [f.values.ravel()])
+        assert (d / "a.csv").read_bytes() == reference_csv(
+            spec, OperatorField._CSV_NAMES, A.mat.reshape(n, 4).T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), chunk=st.sampled_from([7, fields._CSV_CHUNK_ROWS]))
+    def test_immersion_grid(self, data, chunk, tmp_path_factory):
+        spec = data.draw(grid_specs())
+        g = random_immersion(data, spec)
+        p = tmp_path_factory.mktemp("writer") / "g.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields, "_CSV_CHUNK_ROWS", chunk)
+            g.to_csv(p)
+        cols = np.concatenate([g.sigma, g.nu], -1).reshape(-1, 8).T
+        assert p.read_bytes() == reference_csv(spec, ImmersionGrid._CSV_NAMES,
+                                               cols)
+
+    def test_extreme_axes(self, tmp_path):
+        # axis values near both ends of the float range; -0.0 among the values
+        spec = GridSpec(nx=4, ny=3, hx=1e300, hy=1e-300,
+                        origin=(-1e300, -0.0), periodic_y=True)
+        f = ScalarField(spec, np.array([[-0.0, 1e-300, -1e300]] * 4))
+        f.to_csv(tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_bytes() == reference_csv(
+            spec, ["v"], [f.values.ravel()])
 
 
 class TestWrapProperties:

@@ -14,7 +14,7 @@ from minsurf import immersion as imm
 from minsurf import invariant_ode as iode
 from minsurf import pde
 from minsurf.geometry import SurfaceData, embedding_data
-from minsurf.errors import ConstraintDrift, DegenerateTangents
+from minsurf.errors import ConstraintDrift, DegenerateTangents, SingularMetric
 
 
 def geodesic_plane_grid(nx=17, ny=13):
@@ -269,6 +269,21 @@ class TestNormalFlow:
         with pytest.raises(ValueError):
             imm.normal_flow(imm64, ScalarField.zeros(flat_chart.spec), 0.1)
 
+    @pytest.mark.parametrize("t", [1e-2, -1e-2, 1e-4])
+    def test_flowed_normal_is_normal_to_flowed_tangents(self, imm64, t):
+        # the normal is not Gram-projected against the tangents: the cross
+        # product must leave it orthogonal to them by itself
+        spec = imm64.spec
+        f = ScalarField.from_function(
+            spec, lambda x, y: 0.2 + 0.1 * np.sin(2 * np.pi * y) * np.cos(x))
+        out = imm.normal_flow(imm64, f, t)
+        assert out.constraint_drift() <= 1e-12
+        for axis, h in ((0, spec.hx), (1, spec.hy)):
+            tan = np.gradient(out.sigma, h, axis=axis, edge_order=2)
+            rel = (np.abs(imm.minkowski_dot(out.nu, tan))
+                   / np.sqrt(imm.minkowski_dot(tan, tan)))
+            assert rel.max() <= 1e-11
+
 
 def normal_by_det(a, b, c):
     """Minors of (a; b; c) by np.linalg.det, index raised with eta."""
@@ -331,6 +346,24 @@ class TestFormsFromImmersion:
         assert (IA - IB).sup() <= 1e-12
         assert (IIA - IIB).sup() <= 1e-12
         assert (BA - BB).sup() <= 1e-12
+
+
+    @pytest.mark.parametrize("t", [0.0, 1e-2])
+    def test_shape_operator_is_inverse_metric_times_second_form(self, imm64, t):
+        f = ScalarField.from_function(imm64.spec, lambda x, y: np.cos(x))
+        g = imm.normal_flow(imm64, f, t) if t else imm64
+        I, II, B = imm.forms_from_immersion(g)
+        ref = (I.inverse() @ II).mat
+        assert np.max(np.abs(B.mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_degenerate_metric_raises(self):
+        # constant in y: sigma_y = 0, so I_11 > 0 but det I = 0
+        g = geodesic_plane_grid()
+        sigma = np.broadcast_to(g.sigma[:, :1], g.sigma.shape).copy()
+        nu = np.broadcast_to(g.nu[:, :1], g.nu.shape).copy()
+        flat = imm.ImmersionGrid(spec=g.spec, sigma=sigma, nu=nu)
+        with pytest.raises(SingularMetric):
+            imm.forms_from_immersion(flat)
 
 
 class TestSerialization:
