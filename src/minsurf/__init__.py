@@ -6,7 +6,7 @@ The pieces fit together in one pipeline:
   its blow-up width, and conversion to a chart solution.
 - ``pde``: damped inexact Newton solver for the conformal-factor equation
   Delta u = 2 cosh(2u) on rectangle and cylinder charts (MINRES steps with a
-  fast-Poisson preconditioner).
+  fast-Poisson preconditioner; the Laplacian is applied matrix-free).
 - ``geometry``: fundamental forms, shape operator, principal curvatures,
   and Christoffel symbols of e^{2u}(dx^2 + dy^2).
 - ``immersion``: Gauss-Weingarten frame integration into the hyperboloid

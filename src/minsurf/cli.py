@@ -217,6 +217,7 @@ def cmd_zlocus(args) -> int:
             "nodes": int(len(c.nodes)),
             "closed": bool(c.closed),
             "dropped_nodes": c.dropped,
+            "thinned_nodes": c.thinned,
         }
         if c.kind == "Curve":
             v = genericity_check(c)
@@ -328,9 +329,13 @@ def cmd_deform(args) -> int:
     return EXIT_OK
 
 
-def cmd_flow(args) -> int:
-    import numpy as np
+def _outside_unit_interval(pc, interior) -> int:
+    """Interior nodes where lambda+ > 1 or lambda- < -1."""
+    out = (pc.lambda_plus.values > 1.0) | (pc.lambda_minus.values < -1.0)
+    return int(out[interior].sum())
 
+
+def cmd_flow(args) -> int:
     from .deform import build_point_f, plateau_mask
     from .geometry import principal_curvatures
     from .immersion import forms_from_immersion, immerse, normal_flow
@@ -343,7 +348,7 @@ def cmd_flow(args) -> int:
         g2.to_csv(args.csv)
     _, _, B = forms_from_immersion(g2)
     pc = principal_curvatures(B)
-    lam = pc.lambda_plus.values
+    lam, lam_minus = pc.lambda_plus.values, pc.lambda_minus.values
     plateau = plateau_mask(s.spec, args.bump_center, args.bump_r)
     interior = s.spec.interior_mask()
     report = {
@@ -358,6 +363,11 @@ def cmd_flow(args) -> int:
             "interior_min": float(lam[interior].min()),
             "plateau_max": float(lam[plateau].max()) if plateau.any() else None,
         },
+        "lambda_minus": {
+            "interior_max": float(lam_minus[interior].max()),
+            "interior_min": float(lam_minus[interior].min()),
+        },
+        "outside_unit_interval": _outside_unit_interval(pc, interior),
         "passed": True,
     }
     _emit(report, args.out)
@@ -396,8 +406,6 @@ def cmd_verify(args) -> int:
 def cmd_demo(args) -> int:
     """Flow the invariant chart by a curvature-opening bump and watch the
     top principal curvature leave 1 at unit rate."""
-    import numpy as np
-
     from .acceptance import (
         _BUMP_CENTER,
         _BUMP_R,
@@ -415,20 +423,25 @@ def cmd_demo(args) -> int:
         raise ValueError("--fine must be an even integer >= 32")
     center, r = _BUMP_CENTER, _BUMP_R
 
-    def lam_plus(n, t):
+    def curvatures(n, t):
         _, _, B = forms_from_immersion(normal_flow(_immersed(n), _bump(n), t))
-        return principal_curvatures(B).lambda_plus.values
+        return principal_curvatures(B)
 
     # sweep on the fine grid: the bump plateau keeps lambda+ below 1
-    plateau = plateau_mask(_chart(fine).spec, center, r)
+    spec = _chart(fine).spec
+    plateau = plateau_mask(spec, center, r)
+    interior = spec.interior_mask()
     node_f = (fine // 2, fine // 2)
     node_c = (fine // 4, fine // 4)
     sweep = {}
     for t in _SWEEP:
-        lam = lam_plus(fine, t)
+        pc = curvatures(fine, t)
+        lam = pc.lambda_plus.values
         sweep[t] = {
             "plateau_max": float(lam[plateau].max()),
             "center": float(lam[node_f]),
+            "lambda_minus_min": float(pc.lambda_minus.values[interior].min()),
+            "outside_unit_interval": _outside_unit_interval(pc, interior),
         }
     plateau_ok = all(v["plateau_max"] < 1.0 for v in sweep.values())
 
@@ -437,14 +450,14 @@ def cmd_demo(args) -> int:
     # h, h/2
     t_ref = 1e-3
     lam_f = sweep[t_ref]["center"]
-    lam_c = lam_plus(fine // 2, t_ref)[node_c]
+    lam_c = curvatures(fine // 2, t_ref).lambda_plus.values[node_c]
     center_extrap = float((4.0 * lam_f - lam_c) / 3.0)
     center_err = abs(center_extrap - (1.0 - t_ref))
     center_ok = center_err <= 1e-5
 
     # measured slope of lambda+ in t at the center, and the sign flip for
     # t < 0 (the deformation direction matters)
-    lam_neg = float(lam_plus(fine, -t_ref)[node_f])
+    lam_neg = float(curvatures(fine, -t_ref).lambda_plus.values[node_f])
     slope = float((lam_f - lam_neg) / (2 * t_ref))
     slope_ok = abs(slope + 1.0) <= 1e-2
     neg_ok = lam_neg > 1.0

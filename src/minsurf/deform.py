@@ -145,6 +145,8 @@ class ZComponent:
     cylinder is a graph over the unwrapped parameter, not a sawtooth).
     dropped counts the nodes of a curve's skeleton that its chain walk did
     not reach: a branch of the zero set, which no curve field covers.
+    thinned counts the band nodes that _thin_band removed before the walk
+    (0 for points and for curves that are already one node wide).
     """
 
     kind: str  # "Point" | "Curve"
@@ -156,6 +158,7 @@ class ZComponent:
     closed: bool = False
     line_deviation: float | None = None
     dropped: int = 0
+    thinned: int = 0
 
 
 def _thin_band(nodes: np.ndarray, u: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -331,7 +334,8 @@ def detect_z(s: SurfaceData, tol_z: float = TOL_Z_DEFAULT) -> list[ZComponent]:
                 kind="Curve", spec=spec, nodes=chain, points=pts,
                 center=center, diameter=diam, closed=closed,
                 line_deviation=_tls_line_deviation(pts),
-                dropped=len(skeleton) - len(chain)))
+                dropped=len(skeleton) - len(chain),
+                thinned=len(nodes) - len(skeleton)))
     out.sort(key=lambda c: (c.center[0], c.center[1]))
     return out
 

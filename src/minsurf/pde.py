@@ -1,7 +1,8 @@
 """Dirichlet solver for the cosh-Gordon equation on strips and cylinders.
 
 Discretization: 5-point Laplacian on the grid, Dirichlet data on the
-non-periodic edges, periodic wrap in y when the grid is a cylinder.  The
+non-periodic edges, periodic wrap in y when the grid is a cylinder.  Delta_h
+is applied matrix-free, as an array stencil on the interior nodes.  The
 nonlinear system F(u) = Delta_h u - 2 cosh(2u) = 0 on interior nodes is solved
 by damped inexact Newton.  Each step solves with the Jacobian
 J = Delta_h - 4 sinh(2u) I_diag by MINRES, preconditioned with the exact
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import NewtonDiverged, SingularJacobian
@@ -88,66 +88,70 @@ class PdeProblem:
             raise ValueError("boundary field lives on a different grid")
 
 
-def _interior(spec: GridSpec) -> tuple[slice, slice]:
-    """Index of the interior nodes: (nx-2, ny) on a cylinder, (nx-2, ny-2) on
-    a rectangle.  Vectors of unknowns hold them in row-major order."""
-    return slice(1, -1), slice(None) if spec.periodic_y else slice(1, -1)
-
-
 def _interior_shape(spec: GridSpec) -> tuple[int, int]:
+    """Shape of spec.interior_mask()'s nodes; unknowns are in row-major order."""
     return spec.nx - 2, spec.ny if spec.periodic_y else spec.ny - 2
 
 
-def _laplacian_matrix(spec: GridSpec):
-    """Sparse 5-point Delta_h on the interior nodes, with zero Dirichlet data."""
-    mx, my = _interior_shape(spec)
-    cx, cy = 1.0 / spec.hx**2, 1.0 / spec.hy**2
-    # row k = i*my + j couples to k -/+ my (x) and k -/+ 1 (y)
-    cols = np.arange(mx * my).reshape(mx, my, 1) + np.array([-my, -1, 0, 1, my])
-    vals = np.broadcast_to([cx, cy, -2.0 * (cx + cy), cy, cx], cols.shape)
-    keep = np.ones(cols.shape, dtype=bool)
-    keep[0, :, 0] = keep[-1, :, 4] = False
-    if spec.periodic_y:
-        cols[:, 0, 1] += my
-        cols[:, -1, 3] -= my
+def _neighbour_sum(a: np.ndarray, out: np.ndarray, periodic: bool) -> None:
+    """out[i] = a[i-1] + a[i+1] along the first axis, zero beyond the ends or
+    wrapped around when periodic (len(a) >= 3 then)."""
+    np.add(a[:-2], a[2:], out=out[1:-1])
+    if len(a) == 1:
+        out[0] = 0.0
     else:
-        keep[:, 0, 1] = keep[:, -1, 3] = False
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=-1).ravel())])
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(mx * my,) * 2)
+        out[0], out[-1] = (a[1] + a[-1], a[-2] + a[0]) if periodic else (a[1], a[-2])
+
+
+def _apply_laplacian(spec: GridSpec, v: np.ndarray,
+                     absolute: bool = False) -> np.ndarray:
+    """Delta_h v on the interior nodes with zero Dirichlet data, as a stencil
+    (wrapped in y on a cylinder).  absolute takes |coefficients|: |L_h| v."""
+    a = v.reshape(_interior_shape(spec))
+    cx, cy = spec.hx**-2, spec.hy**-2
+    out = a * ((2.0 if absolute else -2.0) * (cx + cy))
+    t = np.empty_like(a)
+    _neighbour_sum(a.T, t.T, periodic=spec.periodic_y)
+    out += np.multiply(t, cy, out=t)
+    _neighbour_sum(a, t, periodic=False)
+    out += np.multiply(t, cx, out=t)
+    return out.ravel()
 
 
 def _boundary_term(boundary: ScalarField) -> np.ndarray:
     """b in Delta_h u = L v + b on the interior: Delta_h of the Dirichlet data
     with the interior set to zero."""
-    inner = _interior(boundary.spec)
-    g = boundary.values.copy()
-    g[inner] = 0.0
-    return laplacian(ScalarField(boundary.spec, g)).values[inner].ravel()
+    inner = boundary.spec.interior_mask()
+    g = np.where(inner, 0.0, boundary.values)
+    return laplacian(ScalarField(boundary.spec, g)).values[inner]
 
 
 def _with_interior(boundary: ScalarField, v: np.ndarray) -> np.ndarray:
     """The boundary data with the interior nodes replaced by v."""
     u = boundary.values.copy()
-    u[_interior(boundary.spec)] = v.reshape(_interior_shape(boundary.spec))
+    u[boundary.spec.interior_mask()] = v
     return u
 
 
-def _second_difference_eigs(m: int, h: float, periodic: bool) -> np.ndarray:
-    """Eigenvalues of -d^2/dx^2 (3-point) on m nodes: periodic in rfft order,
-    or with zero end data in DST-I order."""
-    k = np.arange(m // 2 + 1) / m if periodic else np.arange(1, m + 1) / (2 * m + 2)
-    return (4.0 / h**2) * np.sin(np.pi * k) ** 2
+def _poisson_eigs(spec: GridSpec) -> np.ndarray:
+    """Eigenvalues of -L_h on the interior nodes, in _poisson_solve's order:
+    DST-I for zero end data, rfft along a periodic y."""
+    mx, my = _interior_shape(spec)
+    kx = np.arange(1, mx + 1) / (2 * mx + 2)
+    ky = (np.arange(my // 2 + 1) / my if spec.periodic_y
+          else np.arange(1, my + 1) / (2 * my + 2))
+    return ((4.0 / spec.hx**2) * np.sin(np.pi * kx)[:, None] ** 2
+            + (4.0 / spec.hy**2) * np.sin(np.pi * ky) ** 2)
 
 
-def _poisson_solve(spec: GridSpec, rhs: np.ndarray, shift: float) -> np.ndarray:
-    """(-L_h + shift I)^-1 rhs on the interior nodes, for shift >= 0.
+def _poisson_solve(spec: GridSpec, rhs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """(-L_h + s I)^-1 rhs on the interior nodes, given the eigenvalues
+    lam = _poisson_eigs(spec) + s of that operator, for a shift s >= 0.
 
     The sine transform (DST-I) diagonalises the x part; the y part is
     diagonalised by the real FFT on a cylinder and by DST-I on a rectangle.
     """
     mx, my = _interior_shape(spec)
-    lam = (_second_difference_eigs(mx, spec.hx, periodic=False)[:, None]
-           + _second_difference_eigs(my, spec.hy, spec.periodic_y) + shift)
     r = rhs.reshape(mx, my)
     if spec.periodic_y:
         r = sfft.rfft(sfft.dst(r, type=1, axis=0, norm="ortho"), axis=1) / lam
@@ -160,7 +164,7 @@ def _poisson_solve(spec: GridSpec, rhs: np.ndarray, shift: float) -> np.ndarray:
 
 def harmonic_extension(spec: GridSpec, boundary: ScalarField) -> ScalarField:
     """Solve Delta_h v = 0 with the given Dirichlet data (solve's start)."""
-    v = _poisson_solve(spec, _boundary_term(boundary), 0.0)
+    v = _poisson_solve(spec, _boundary_term(boundary), _poisson_eigs(spec))
     return ScalarField(spec, _with_interior(boundary, v))
 
 
@@ -184,26 +188,25 @@ def solve(p: PdeProblem) -> SurfaceData:
     the residual there, or running out of iterations, raises NewtonDiverged.
 
     The sup residual cannot be evaluated below the cancellation floor of
-    L @ v (about eps * |L| |v|, which exceeds 1e-10 once h^-2 |u| reaches
-    ~5e5, e.g. constant data 0.3 on a width-0.05 grid with 33 nodes), so
+    Delta_h v (about eps * |L_h| |v|, above 1e-10 once h^-2 |u| reaches ~5e5,
+    e.g. constant data 0.3 on a width-0.05 grid with 33 nodes), so
     convergence is declared at max(tol_residual, a few eps of that floor);
     anything stricter would misreport machine-precision iterates as
     divergence.
     """
     spec = p.spec
-    L = _laplacian_matrix(spec)
     b = _boundary_term(p.boundary)
-    absL = abs(L)
-    v = harmonic_extension(spec, p.boundary).values[_interior(spec)].ravel()
+    eigs = _poisson_eigs(spec)  # each step only adds its shift
+    v = _poisson_solve(spec, b, eigs)
 
     def F(vv):
         with np.errstate(over="ignore"):
-            return L @ vv + b - 2.0 * np.cosh(2.0 * vv)
+            return _apply_laplacian(spec, vv) + b - 2.0 * np.cosh(2.0 * vv)
 
     def tol_eff(vv):
         with np.errstate(over="ignore"):
-            scale = float(np.max(absL @ np.abs(vv) + np.abs(b)
-                                 + 2.0 * np.cosh(2.0 * vv)))
+            scale = float(np.max(_apply_laplacian(spec, np.abs(vv), absolute=True)
+                                 + np.abs(b) + 2.0 * np.cosh(2.0 * vv)))
         return max(p.newton.tol_residual, 4.0 * np.finfo(float).eps * scale)
 
     res_vec = F(v)
@@ -226,19 +229,14 @@ def solve(p: PdeProblem) -> SurfaceData:
             eta = min(max(ew, _FORCING_FLOOR), _FORCING_MAX)
         norm_prev = norm_f
 
-        shift = max(float(np.mean(dg)), 0.0)
-        minus_J = LinearOperator(L.shape, dtype=float,
-                                 matvec=lambda x: dg * x - L @ x)
-        precond = LinearOperator(L.shape, dtype=float,
-                                 matvec=lambda r: _poisson_solve(spec, r, shift))
-        n_lin = 0
-
-        def count(_):
-            nonlocal n_lin
-            n_lin += 1
-
+        lam_s = eigs + max(float(np.mean(dg)), 0.0)
+        minus_J = LinearOperator((v.size,) * 2, dtype=float,
+                                 matvec=lambda x: dg * x - _apply_laplacian(spec, x))
+        precond = LinearOperator((v.size,) * 2, dtype=float,
+                                 matvec=lambda r: _poisson_solve(spec, r, lam_s))
+        its = []  # one entry per MINRES iteration
         step, info = minres(minus_J, res_vec, rtol=eta, maxiter=_MINRES_MAXITER,
-                            M=precond, callback=count)
+                            M=precond, callback=lambda _: its.append(None))
         if info < 0:
             raise SingularJacobian(f"MINRES breakdown (info {info})")
         if not np.all(np.isfinite(step)):
@@ -261,7 +259,7 @@ def solve(p: PdeProblem) -> SurfaceData:
             raise NewtonDiverged(it + 1, res)
         _log.debug("newton iteration %d: residual %.3e, damping %g, "
                    "%d MINRES iterations, forcing %.2e, MINRES info %d",
-                   it + 1, res, lam, n_lin, eta, info)
+                   it + 1, res, lam, len(its), eta, info)
     else:
         if res > tol_eff(v):
             raise NewtonDiverged(p.newton.max_iter, res)

@@ -181,6 +181,7 @@ class TestZlocus:
         assert run(["zlocus", "--input", str(csv), "--out", str(out)]) == 0
         (comp,) = load(out)["components"]
         assert comp["nodes"] == 45 and comp["dropped_nodes"] == 22
+        assert comp["thinned_nodes"] == 0  # the T is one node wide
 
 
 class TestDeform:
@@ -263,6 +264,17 @@ class TestFlow:
         assert run(["flow", "--t=-1e-3", "--out", str(out)]) == 0
         assert load(out)["lambda_plus"]["plateau_max"] > 1.0
 
+    def test_reports_lambda_minus_leaving_the_unit_interval(self, tmp_path):
+        # at t = 1e-2 the bump's transition ring pushes lambda- below -1 on
+        # the zero line, off the plateau that lambda+ is checked on
+        out = tmp_path / "f.json"
+        assert run(["flow", "--nx", "65", "--ny", "64", "--t", "1e-2",
+                    "--out", str(out)]) == 0
+        rep = load(out)
+        assert rep["outside_unit_interval"] > 0
+        assert rep["lambda_minus"]["interior_min"] < -1.0
+        assert rep["lambda_minus"]["interior_max"] <= rep["lambda_plus"]["interior_min"]
+
 
 class TestVerify:
     def test_single_criterion(self, tmp_path):
@@ -307,6 +319,11 @@ class TestDemo:
         assert rep["passed"] is True
         assert rep["center_error_vs_1_minus_t"] <= rep["center_tolerance"]
         assert abs(rep["slope_dlambda_dt"] + 1.0) <= rep["slope_tolerance"]
+        for v in rep["sweep"].values():
+            assert v["lambda_minus_min"] < 0.0
+            assert isinstance(v["outside_unit_interval"], int)
+        # the transition-ring defect shows at the largest sweep time
+        assert rep["sweep"]["0.01"]["outside_unit_interval"] > 0
 
 
 class TestUsage:

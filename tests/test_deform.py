@@ -154,12 +154,37 @@ class TestDetectZ:
         c = comps[0]
         assert c.kind == "Curve" and c.closed
         assert len(c.nodes) == 64
+        assert c.thinned > 0
         assert c.line_deviation == pytest.approx(0.0, abs=1e-12)
         assert 0.0 <= c.center[1] < 1.0
 
     @pytest.mark.parametrize("tol_z", [1e-8, 1e-4, 1e-2])
     def test_invariant_chart_drops_no_nodes(self, chart64, tol_z):
         assert [c.dropped for c in deform.detect_z(chart64, tol_z)] == [0]
+
+    def test_thinning_is_counted(self):
+        # a circle of radius 0.2 at tol_z 3e-4 is a band of 72 nodes, which
+        # _thin_band cuts to one node per slice; the cut must be reported
+        spec = GridSpec(nx=65, ny=64, hx=1 / 64, hy=1 / 64, origin=(-0.5, 0.0),
+                        periodic_y=True)
+        X, Y = spec.nodes()
+        u = 5.0 * (np.hypot(X, Y - 0.5) - 0.2) ** 2
+        band = np.argwhere(u <= 3e-4)
+        assert len(band) == 72
+        comps = deform.detect_z(SurfaceData(ScalarField(spec, u)), tol_z=3e-4)
+        assert len(comps) == 1
+        c = comps[0]
+        skeleton = deform._thin_band(band, u, spec)
+        assert c.thinned == len(band) - len(skeleton) > 0
+        assert len(c.nodes) + c.dropped + c.thinned == len(band)
+
+    def test_thin_curves_and_points_thin_nothing(self, chart64):
+        assert [c.thinned for c in deform.detect_z(chart64)] == [0]
+        spec = GridSpec(nx=33, ny=33, hx=1 / 32, hy=1 / 32, periodic_y=False)
+        X, Y = spec.nodes()
+        u = (X - 0.5) ** 2 + (Y - 0.5) ** 2
+        comps = deform.detect_z(SurfaceData(ScalarField(spec, u)), tol_z=1e-3)
+        assert [(c.kind, c.thinned) for c in comps] == [("Point", 0)]
 
     def test_branched_curve_reports_dropped_nodes(self):
         # a T: the chain walk follows one path of 45 nodes; the other 22

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from minsurf.fields import GridSpec, ScalarField, diff2
+from minsurf.fields import GridSpec, ScalarField, diff2, laplacian
 from minsurf import pde
 from minsurf.errors import NewtonDiverged
 
@@ -174,16 +174,86 @@ class TestComparisonPrinciple:
         assert np.all(u1 <= u2 + 1e-12)
 
 
-class TestPoissonSolve:
+class TestMaximumPrinciple:
+    # Delta_h u = 2 cosh 2u > 0, so no interior node can reach the boundary
+    # maximum; sign-changing data make the Newton Jacobian indefinite
+    @settings(max_examples=12, deadline=None)
+    @given(nx=st.integers(17, 33), ny=st.integers(17, 33),
+           width=st.floats(0.5, 1.0), height=st.floats(0.5, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_interior_max_below_boundary_max(self, nx, ny, width, height, seed):
+        spec = GridSpec(nx=nx, ny=ny, hx=width / (nx - 1), hy=height / (ny - 1),
+                        periodic_y=False)
+        edge = ~spec.interior_mask()
+        g = np.zeros(spec.shape)
+        g[edge] = np.random.default_rng(seed).uniform(-0.5, 0.3, edge.sum())
+        g[0, ny // 2], g[-1, ny // 2] = -0.5, 0.3
+        s = pde.solve(pde.PdeProblem(spec, ScalarField(spec, g)))
+        assert pde.residual(s) <= 1e-10
+        # corners have no interior neighbour; leave them out of the bound
+        coupled = edge.copy()
+        coupled[[0, 0, -1, -1], [0, -1, 0, -1]] = False
+        u = s.u.values
+        assert u[~edge].max() < u[coupled].max()
+
+
+GRID_SHAPES = [(17, 16), (17, 15), (3, 8), (3, 7), (12, 3)]
+
+
+def interior_spec(nx, ny, periodic):
+    return GridSpec(nx=nx, ny=ny, hx=0.13, hy=0.05, periodic_y=periodic)
+
+
+def random_interior(spec, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(pde._interior_shape(spec))
+
+
+class TestApplyLaplacian:
     @pytest.mark.parametrize("periodic", [True, False])
-    @pytest.mark.parametrize("nx,ny", [(17, 16), (17, 15), (3, 8), (3, 7),
-                                       (12, 3)])
+    @pytest.mark.parametrize("nx,ny", GRID_SHAPES)
+    def test_matches_fields_laplacian_on_zero_padded_data(self, periodic, nx, ny):
+        spec = interior_spec(nx, ny, periodic)
+        v = random_interior(spec, nx * ny)
+        inner = spec.interior_mask()
+        g = np.zeros(spec.shape)
+        g[inner] = v.ravel()
+        ref = laplacian(ScalarField(spec, g)).values[inner].reshape(v.shape)
+        got = pde._apply_laplacian(spec, v.ravel()).reshape(v.shape)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("nx,ny", GRID_SHAPES)
+    def test_absolute_coefficients(self, periodic, nx, ny):
+        spec = interior_spec(nx, ny, periodic)
+        v = random_interior(spec, nx + ny)
+        mx, my = v.shape
+        cx, cy = spec.hx**-2, spec.hy**-2
+        ref = np.empty_like(v)
+        for i in range(mx):
+            for j in range(my):
+                total = 2.0 * (cx + cy) * abs(v[i, j])
+                for di, dj, c in ((-1, 0, cx), (1, 0, cx), (0, -1, cy), (0, 1, cy)):
+                    a, b = i + di, j + dj
+                    if periodic:
+                        b %= my
+                    if 0 <= a < mx and 0 <= b < my:
+                        total += c * abs(v[a, b])
+                ref[i, j] = total
+        got = pde._apply_laplacian(spec, np.abs(v).ravel(), absolute=True)
+        assert np.allclose(got.reshape(v.shape), ref, rtol=1e-14, atol=0.0)
+
+
+class TestPoissonSolve:
+    # inverts the stencil that pde.solve applies
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("nx,ny", GRID_SHAPES)
     @pytest.mark.parametrize("shift", [0.0, 7.5])
     def test_inverts_the_assembled_laplacian(self, periodic, nx, ny, shift):
-        spec = GridSpec(nx=nx, ny=ny, hx=0.13, hy=0.05, periodic_y=periodic)
-        L = pde._laplacian_matrix(spec)
-        x = np.random.default_rng(nx * ny).standard_normal(L.shape[0])
-        y = pde._poisson_solve(spec, shift * x - L @ x, shift)
+        spec = interior_spec(nx, ny, periodic)
+        x = random_interior(spec, nx * ny).ravel()
+        rhs = shift * x - pde._apply_laplacian(spec, x)
+        y = pde._poisson_solve(spec, rhs, pde._poisson_eigs(spec) + shift)
         assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
 
 
