@@ -61,6 +61,7 @@ _EXPORTS = {
     "ZeroHolonomyInTranslationCase": ".errors",
     "ClosednessViolation": ".errors",
     "OverlappingNeighbourhoods": ".errors",
+    "WorkerFailure": ".errors",
 }
 
 __all__ = ["__version__", *sorted(_EXPORTS)]

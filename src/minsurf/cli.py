@@ -7,13 +7,28 @@ as CSV with the grid spec in a comment header.
 
 Exit codes: 0 success, 1 verification failure, 2 solver divergence or
 numerical breakdown, 64 usage error (bad flags or bad input data).
+
+Two entry points share the subcommands.  ``main(argv)`` is the in-process
+API that tests and harnesses call: it runs `verify`'s criteria serially in
+the calling process and leaves the garbage collector alone.  ``program()``
+is the ``minsurf`` program itself (the console script and
+``python -m minsurf.cli``): it runs `verify` as two lanes of criteria, one
+in a forked worker, when at least two CPUs are usable (``MINSURF_THREADS``
+caps the count) and the criteria span both lanes.  Its results, lines and
+report are the same as the serial run's.  ``program()`` also switches off
+automatic cyclic GC and freezes the heap before returning, so neither the
+numerical stack's imports nor interpreter shutdown pay for a collection
+over the import-time objects.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import pickle
+import signal
 import sys
 
 # honour the thread cap before numpy/scipy load (imports below are lazy);
@@ -374,8 +389,105 @@ def cmd_flow(args) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, capped by MINSURF_THREADS when set."""
+    n = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+    try:
+        return min(n, int(os.environ["MINSURF_THREADS"]))
+    except (KeyError, ValueError):
+        return n
+
+
+def _forked(here, there, lane: str):
+    """(here(), there()), with there() run in a forked worker meanwhile.
+
+    The worker pickles what there() returns, or the exception it raised,
+    into a pipe and ends with os._exit, never returning into the caller's
+    code; the exception is re-raised here.  A worker that ends without
+    sending anything raises WorkerFailure naming the lane and the wait
+    status.  The worker is always reaped before this returns or raises.
+    """
+    from .errors import WorkerFailure
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                payload = (True, there())
+            except BaseException as e:  # re-raised by the parent
+                payload = (False, e)
+            data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(w, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    data = None
+    reader = os.fdopen(r, "rb")
+    try:
+        mine = here()
+        data = reader.read()
+    finally:
+        reader.close()
+        if data is None:  # here() raised: the worker's result is moot
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        raise WorkerFailure(lane, status)
+    ok, value = pickle.loads(data)  # bytes written by our own worker
+    if not ok:
+        raise value
+    return mine, value
+
+
+def _lane(names: list) -> list:
+    """Run the criteria in order; one that raises ends the list with its
+    exception, as it would end the serial run."""
+    from .acceptance import run_all
+
+    out = []
+    for name in names:
+        try:
+            out += run_all([name])
+        except Exception as e:  # re-raised by _verify_in_lanes
+            out.append(e)
+            break
+    return out
+
+
+def _verify_in_lanes(names: list) -> list:
+    """run_all(names) with the profile lane in a forked worker.
+
+    names must be in registry order.  The results come back in that order;
+    if criteria raised, the first of them in that order has its exception
+    raised, as the serial run would.
+    """
+    from .acceptance import LANES
+
+    chart = [n for n in names if n in LANES["chart"]]
+    profile = [n for n in names if n in LANES["profile"]]
+    here, there = _forked(lambda: _lane(chart), lambda: _lane(profile),
+                          "profile")
+    done = dict(zip(chart, here)) | dict(zip(profile, there))
+    results = []
+    for name in names:
+        # a lane stops at its exception, which comes before anything missing
+        r = done[name]
+        if isinstance(r, BaseException):
+            raise r
+        results.append(r)
+    return results
+
+
 def cmd_verify(args) -> int:
-    from .acceptance import REGISTRY, run_all
+    from .acceptance import LANES, REGISTRY, run_all
 
     known = [name for name, _ in REGISTRY]
     wanted = args.only or None
@@ -384,7 +496,12 @@ def cmd_verify(args) -> int:
         if bad:
             raise ValueError(
                 f"unknown criteria {bad}; known: {known}")
-    results = run_all(wanted)
+    names = [n for n in known if not wanted or n in wanted]
+    both = all(set(names) & set(lane) for lane in LANES.values())
+    if args.lanes and both and hasattr(os, "fork") and _usable_cpus() >= 2:
+        results = _verify_in_lanes(names)
+    else:
+        results = run_all(wanted)
     for r in results:
         print(r.line())
     all_passed = all(r.passed for r in results)
@@ -562,11 +679,28 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand in this process; returns the exit code."""
+    return _main(argv, lanes=False)
+
+
+def program() -> int:
+    """The ``minsurf`` program: main() on sys.argv, with verify in two lanes
+    and no automatic cyclic GC.  Meant to end its process: it leaves
+    automatic GC off and the heap frozen."""
+    gc.disable()
+    try:
+        return _main(sys.argv[1:], lanes=True)
+    finally:
+        gc.freeze()
+
+
+def _main(argv, lanes: bool) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_USAGE
+    args.lanes = lanes
 
     from .errors import (
         BlowUp,
@@ -580,6 +714,7 @@ def main(argv=None) -> int:
         QuadratureFailure,
         SingularJacobian,
         SingularMetric,
+        WorkerFailure,
     )
 
     diverged = (NewtonDiverged, BlowUp, SingularJacobian, DegenerateTangents,
@@ -591,7 +726,7 @@ def main(argv=None) -> int:
         print(f"minsurf {args.command}: {type(e).__name__}: {e}",
               file=sys.stderr)
         return EXIT_DIVERGED
-    except ClosednessViolation as e:
+    except (ClosednessViolation, WorkerFailure) as e:
         print(f"minsurf {args.command}: {type(e).__name__}: {e}",
               file=sys.stderr)
         return EXIT_VERIFY
@@ -604,4 +739,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(program())

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every failure mode that callers are expected to branch on gets its own class;
-generic misuse (bad shapes, negative step sizes) stays ValueError.
+generic misuse (bad shapes, negative step sizes) stays ValueError.  Classes
+whose constructor takes fields rather than the message define __reduce__, so
+every error pickles (a forked worker sends them back to its parent).
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ class ComplexEigenvalues(MinsurfError):
             f"complex principal curvatures: min discriminant {min_discriminant:.3e}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.min_discriminant,)
+
 
 class BlowUp(MinsurfError):
     """The invariant profile left the representable range before x_max.
@@ -34,6 +39,9 @@ class BlowUp(MinsurfError):
         super().__init__(
             f"profile blow-up at x = {x_reached:.15g} (g = {g_reached:.3g})"
         )
+
+    def __reduce__(self):
+        return type(self), (self.x_reached, self.g_reached)
 
 
 class IntegratorFailure(MinsurfError):
@@ -59,6 +67,9 @@ class NewtonDiverged(MinsurfError):
             f"(residual {residual:.3e})"
         )
 
+    def __reduce__(self):
+        return type(self), (self.iterations, self.residual)
+
 
 class SingularJacobian(MinsurfError):
     """The Newton linear solve broke down or returned a non-finite step."""
@@ -69,10 +80,14 @@ class ConstraintDrift(MinsurfError):
 
     def __init__(self, drift: float, where: str = ""):
         self.drift = float(drift)
+        self.where = where
         super().__init__(
             f"frame constraint drift {drift:.3e} exceeds 1e-6"
             + (f" ({where})" if where else "")
         )
+
+    def __reduce__(self):
+        return type(self), (self.drift, self.where)
 
 
 class DegenerateTangents(MinsurfError):
@@ -109,3 +124,18 @@ class ClosednessViolation(MinsurfError):
 
 class OverlappingNeighbourhoods(MinsurfError):
     """Deformation supports of two zero-locus components intersect."""
+
+
+class WorkerFailure(MinsurfError):
+    """A forked worker ended without sending its lane's result."""
+
+    def __init__(self, lane: str, status: int):
+        self.lane = lane
+        self.status = int(status)
+        super().__init__(
+            f"worker for lane {lane!r} ended without a result "
+            f"(wait status {status})"
+        )
+
+    def __reduce__(self):
+        return type(self), (self.lane, self.status)

@@ -164,6 +164,8 @@ def _poisson_solve(spec: GridSpec, rhs: np.ndarray, lam: np.ndarray) -> np.ndarr
 
 def harmonic_extension(spec: GridSpec, boundary: ScalarField) -> ScalarField:
     """Solve Delta_h v = 0 with the given Dirichlet data (solve's start)."""
+    if boundary.spec != spec:
+        raise ValueError("boundary field lives on a different grid")
     v = _poisson_solve(spec, _boundary_term(boundary), _poisson_eigs(spec))
     return ScalarField(spec, _with_interior(boundary, v))
 

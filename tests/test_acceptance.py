@@ -38,3 +38,10 @@ def test_run_all_immerses_each_chart_size_once(monkeypatch):
             monkeypatch.setattr(mod, "immerse", counting)
     acceptance.run_all()
     assert sorted(sizes) == [32, 64, 128]
+
+
+def test_lanes_partition_the_registry():
+    # a new criterion must be placed in exactly one lane
+    placed = [name for lane in acceptance.LANES.values() for name in lane]
+    assert sorted(placed) == sorted(NAMES)
+    assert len(set(placed)) == len(placed)

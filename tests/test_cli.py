@@ -1,11 +1,18 @@
 """Exit codes, report schemas, and determinism of the command-line driver."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minsurf import cli
+from minsurf import acceptance, cli
+from minsurf.acceptance import CriterionResult
+from minsurf.errors import NewtonDiverged, SingularMetric, WorkerFailure
 
 
 def run(argv):
@@ -296,6 +303,135 @@ class TestVerify:
                         "--only", "09-moment-conditions",
                         "--out", str(p)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+lanes = pytest.mark.skipif(
+    not hasattr(os, "fork") or cli._usable_cpus() < 2,
+    reason="verify runs its lanes on 2 or more usable CPUs")
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def stand_in(action=None):
+    def criterion():
+        if action is not None:
+            action()
+        return CriterionResult(name="stand-in", passed=True,
+                               details={"pid": os.getpid()}, elapsed_s=0.0)
+    return criterion
+
+
+def raising(e):
+    def action():
+        raise e
+    return action
+
+
+@pytest.fixture
+def stand_ins(monkeypatch):
+    """Replace the registry by four stand-in criteria, alternating lanes;
+    returns a function that sets what each one does."""
+    names = ["01-p", "02-c", "03-p", "04-c"]
+    monkeypatch.setattr(acceptance, "LANES", {"chart": ("02-c", "04-c"),
+                                              "profile": ("01-p", "03-p")})
+
+    def install(actions=None):
+        actions = actions or {}
+        monkeypatch.setattr(acceptance, "REGISTRY", tuple(
+            (n, stand_in(actions.get(n))) for n in names))
+        return names
+    return install
+
+
+@lanes
+class TestVerifyLanes:
+    def test_profile_lane_runs_in_a_worker(self, stand_ins):
+        names = stand_ins()
+        results = cli._verify_in_lanes(names)
+        no_child_left()
+        assert [r.name for r in results] == names
+        pids = {r.name: r.details["pid"] for r in results}
+        assert pids["02-c"] == pids["04-c"] == os.getpid()
+        assert pids["01-p"] == pids["03-p"] != os.getpid()
+
+    def test_worker_error_is_raised_here(self, stand_ins):
+        e = NewtonDiverged(12, 4.2e-3)
+        names = stand_ins({"03-p": raising(e)})
+        with pytest.raises(NewtonDiverged) as info:
+            cli._verify_in_lanes(names)
+        no_child_left()
+        assert str(info.value) == str(e)
+        assert (info.value.iterations, info.value.residual) == (12, 4.2e-3)
+
+    @pytest.mark.parametrize("first", ["01-p", "02-c"])
+    def test_first_error_in_registry_order_is_raised(self, stand_ins, first):
+        # as in the serial run, whichever lane it falls in
+        later = "04-c" if first == "01-p" else "03-p"
+        names = stand_ins({first: raising(SingularMetric(first)),
+                           later: raising(ValueError(later))})
+        with pytest.raises(SingularMetric, match=first):
+            cli._verify_in_lanes(names)
+        no_child_left()
+
+    def test_dead_worker_is_a_typed_failure(self, stand_ins):
+        names = stand_ins({"01-p": lambda: os._exit(3)})
+        with pytest.raises(WorkerFailure) as info:
+            cli._verify_in_lanes(names)
+        no_child_left()
+        assert info.value.lane == "profile"
+        assert os.waitstatus_to_exitcode(info.value.status) == 3
+
+    def test_program_exits_1_on_a_dead_worker(self, stand_ins, monkeypatch,
+                                              tmp_path, capsys):
+        monkeypatch.delenv("MINSURF_THREADS", raising=False)
+        stand_ins({"03-p": lambda: os._exit(3)})
+        out = tmp_path / "v.json"
+        assert cli._main(["verify", "--out", str(out)], lanes=True) == 1
+        no_child_left()
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "lane 'profile'" in err and "wait status 768" in err
+
+    def test_main_runs_every_criterion_here(self, stand_ins, tmp_path):
+        stand_ins()
+        out = tmp_path / "v.json"
+        assert run(["verify", "--out", str(out)]) == 0
+        assert gc.isenabled()
+        pids = {c["details"]["pid"] for c in load(out)["criteria"]}
+        assert pids == {os.getpid()}
+
+    def test_reports_match_the_serial_run(self, tmp_path):
+        # 06 is in the chart lane, 01 and 09 in the profile lane
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"v{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "minsurf.cli", "verify",
+                 "--only", "01-ode-first-integral",
+                 "--only", "06-rate-product-rule",
+                 "--only", "09-moment-conditions", "--out", str(out)],
+                env=dict(os.environ, MINSURF_THREADS=threads, PYTHONPATH=SRC),
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
+def test_program_leaves_gc_off_and_the_heap_frozen(tmp_path):
+    code = ("import gc, sys; from minsurf import cli; "
+            "sys.argv = ['minsurf', 'ode', '--v0', '0', '--out', sys.argv[1]]; "
+            "rc = cli.program(); "
+            "print(rc, gc.isenabled(), gc.get_freeze_count() > 0)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "r.json")],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=120)
+    assert proc.stdout.split() == ["0", "False", "True"], proc.stderr
 
 
 class TestDemo:

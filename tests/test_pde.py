@@ -282,6 +282,17 @@ class TestHarmonicExtension:
         he = pde.harmonic_extension(spec, lin)
         assert np.max(np.abs(he.values - lin.values)) <= 1e-12
 
+    def test_rejects_boundary_on_another_grid(self):
+        # same node count, other spacing: unchecked, the result was off by
+        # 0.40 from the linear data it should reproduce
+        grid = GridSpec(nx=17, ny=17, hx=1 / 16, hy=1 / 16, origin=(0, 0),
+                        periodic_y=False)
+        spec = GridSpec(nx=17, ny=17, hx=1 / 8, hy=1 / 32, origin=(0, 0),
+                        periodic_y=False)
+        lin = ScalarField.from_function(grid, lambda x, y: 0.3 * x - 0.2 * y + 0.1)
+        with pytest.raises(ValueError, match="different grid"):
+            pde.harmonic_extension(spec, lin)
+
 
 class TestInvariantStripProblem:
     def test_rejects_width_at_maximal_strip(self, sol0):
