@@ -35,6 +35,7 @@ from .invariant_ode import (
     integrate,
     to_surface,
 )
+from .lanes import LANES
 from .pde import invariant_strip_problem, solve
 
 __all__ = ["CriterionResult", "LANES", "REGISTRY", "run_all"]
@@ -496,21 +497,6 @@ REGISTRY: tuple[tuple[str, Callable[[], CriterionResult]], ...] = (
     ("10-translation-field", _10_translation_field),
     ("11-flow-opens-curvatures", _11_flow_opens_curvatures),
 )
-
-
-# two lanes that partition REGISTRY by the cached building blocks they read,
-# so each can run in its own process without building the other's: the
-# chart lane reads _chart, _bump and _immersed; the profile/deform lane reads
-# the profile alone or the deform constructions
-LANES: dict[str, tuple[str, ...]] = {
-    "chart": ("04-immersion-round-trip", "05-shape-rate-vs-immersion",
-              "06-rate-product-rule", "07-curvature-rates-at-zero-locus",
-              "11-flow-opens-curvatures"),
-    "profile": ("01-ode-first-integral", "02-blowup-width-cross-check",
-                "03-pde-vs-ode-convergence",
-                "08-hessian-interpolant-certificate", "09-moment-conditions",
-                "10-translation-field"),
-}
 
 
 def run_all(names: "list[str] | None" = None) -> list[CriterionResult]:

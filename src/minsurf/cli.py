@@ -10,12 +10,16 @@ numerical breakdown, 64 usage error (bad flags or bad input data).
 
 Two entry points share the subcommands.  ``main(argv)`` is the in-process
 API that tests and harnesses call: it runs `verify`'s criteria serially in
-the calling process and leaves the garbage collector alone.  ``program()``
-is the ``minsurf`` program itself (the console script and
-``python -m minsurf.cli``): it runs `verify` as two lanes of criteria, one
-in a forked worker, when at least two CPUs are usable (``MINSURF_THREADS``
-caps the count) and the criteria span both lanes.  Its results, lines and
-report are the same as the serial run's.  ``program()`` also switches off
+the calling process and leaves the garbage collector and the environment
+alone.  ``program()`` is the ``minsurf`` program itself (the console script
+and ``python -m minsurf.cli``): it runs `verify` as two lanes of criteria,
+one in a forked worker, when at least two CPUs are usable
+(``MINSURF_THREADS`` caps the count) and the criteria span both lanes.
+Before numpy loads it then lowers the BLAS/OpenMP thread variables to
+max(1, usable CPUs // 2), so the two lanes' pools share the CPUs instead of
+each claiming all of them.  Its results, lines and report are the same as
+the serial run's, whatever the BLAS thread count: pde.solve's MINRES sums
+pairwise instead of through BLAS.  ``program()`` also switches off
 automatic cyclic GC and freezes the heap before returning, so neither the
 numerical stack's imports nor interpreter shutdown pay for a collection
 over the import-time objects.
@@ -31,12 +35,15 @@ import pickle
 import signal
 import sys
 
+# the thread-pool sizes numpy/scipy's native libraries read when they load
+_POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "NUMEXPR_NUM_THREADS")
+
 # honour the thread cap before numpy/scipy load (imports below are lazy);
 # only set what the user has not already pinned themselves
 _threads = os.environ.get("MINSURF_THREADS")
 if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    for _var in _POOL_VARS:
         os.environ.setdefault(_var, _threads)
 
 SCHEMA = "minsurf-report/1"
@@ -383,7 +390,6 @@ def cmd_flow(args) -> int:
             "interior_min": float(lam_minus[interior].min()),
         },
         "outside_unit_interval": _outside_unit_interval(pc, interior),
-        "passed": True,
     }
     _emit(report, args.out)
     return EXIT_OK
@@ -447,6 +453,33 @@ def _forked(here, there, lane: str):
     return mine, value
 
 
+def _runs_in_lanes(args) -> bool:
+    """Whether `verify` runs as two lanes: its criteria span both lanes, and
+    os.fork and at least two usable CPUs exist.  Reads only the parsed args
+    and the static lane names, so it can run before numpy loads."""
+    if args.command != "verify" or not hasattr(os, "fork") or _usable_cpus() < 2:
+        return False
+    from .lanes import LANES
+
+    names = {n for lane in LANES.values() for n in lane}
+    if args.only:
+        names &= set(args.only)
+    return all(names & set(lane) for lane in LANES.values())
+
+
+def _lower_pools(threads: int) -> None:
+    """Lower every pool-size variable to at most threads.  Larger values,
+    unset ones and ones that are not a positive integer are replaced:
+    BLAS reads those as "all cores"."""
+    for var in _POOL_VARS:
+        try:
+            if 1 <= int(os.environ[var]) <= threads:
+                continue
+        except (KeyError, ValueError):
+            pass
+        os.environ[var] = str(threads)
+
+
 def _lane(names: list) -> list:
     """Run the criteria in order; one that raises ends the list with its
     exception, as it would end the serial run."""
@@ -487,7 +520,7 @@ def _verify_in_lanes(names: list) -> list:
 
 
 def cmd_verify(args) -> int:
-    from .acceptance import LANES, REGISTRY, run_all
+    from .acceptance import REGISTRY, run_all
 
     known = [name for name, _ in REGISTRY]
     wanted = args.only or None
@@ -496,10 +529,9 @@ def cmd_verify(args) -> int:
         if bad:
             raise ValueError(
                 f"unknown criteria {bad}; known: {known}")
-    names = [n for n in known if not wanted or n in wanted]
-    both = all(set(names) & set(lane) for lane in LANES.values())
-    if args.lanes and both and hasattr(os, "fork") and _usable_cpus() >= 2:
-        results = _verify_in_lanes(names)
+    if args.lanes:
+        results = _verify_in_lanes([n for n in known
+                                    if not wanted or n in wanted])
     else:
         results = run_all(wanted)
     for r in results:
@@ -679,14 +711,16 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand in this process; returns the exit code."""
+    """Run one subcommand in this process; returns the exit code.  verify
+    runs serially, and the environment is left as it is."""
     return _main(argv, lanes=False)
 
 
 def program() -> int:
     """The ``minsurf`` program: main() on sys.argv, with verify in two lanes
-    and no automatic cyclic GC.  Meant to end its process: it leaves
-    automatic GC off and the heap frozen."""
+    of max(1, usable CPUs // 2) BLAS threads each, and no automatic cyclic
+    GC.  Meant to end its process: it leaves automatic GC off and the heap
+    frozen, and the BLAS thread variables lowered for verify in lanes."""
     gc.disable()
     try:
         return _main(sys.argv[1:], lanes=True)
@@ -700,7 +734,10 @@ def _main(argv, lanes: bool) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_USAGE
-    args.lanes = lanes
+    args.lanes = lanes and _runs_in_lanes(args)
+    if args.lanes:
+        # before numpy loads: both lanes' BLAS pools share the usable CPUs
+        _lower_pools(max(1, _usable_cpus() // 2))
 
     from .errors import (
         BlowUp,

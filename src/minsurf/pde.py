@@ -12,7 +12,9 @@ transform in x and by the real FFT (cylinder) or the sine transform
 so the preconditioner costs O(N log N) and O(N) memory.  -J is positive
 definite wherever sinh(2u) >= 0, which is what makes the weakly bounded
 regime (u >= 0) so benign; MINRES also handles the symmetric indefinite -J of
-charts with u < 0 somewhere.
+charts with u < 0 somewhere.  MINRES is written here (_minres) with every
+inner product a numpy pairwise sum, never a BLAS call, so a solve gives the
+same bits whatever the BLAS thread count.
 
 Solvability is width-limited: boundary data >= 0 on a strip of width >= twice
 the maximal invariant half-width admits no solution, and Newton divergence is
@@ -22,11 +24,11 @@ the expected (and tested) signal there.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import NewtonDiverged, SingularJacobian
 from .fields import GridSpec, ScalarField, laplacian
@@ -162,6 +164,106 @@ def _poisson_solve(spec: GridSpec, rhs: np.ndarray, lam: np.ndarray) -> np.ndarr
     return out.ravel()
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b as numpy's pairwise sum.  numpy.dot, inner and linalg.norm go
+    through BLAS, whose threaded sums round differently with the thread
+    count; this gives the same bits with any BLAS."""
+    return float(np.add.reduce(a * b))
+
+
+def _minres(apply_A, b: np.ndarray, psolve, rtol: float, maxiter: int):
+    """Preconditioned MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12,
+    1975) for A x = b from x = 0: A symmetric, possibly indefinite, and
+    psolve applying a symmetric positive definite M^-1.
+
+    The recurrences and stopping tests are those of
+    scipy.sparse.linalg.minres with no shift: the relative residual test1,
+    the test2 of a least-squares solution, the condition estimate Acond, the
+    rounding floor epsx, and the early exit when b is an eigenvector of
+    M^-1 A.  Every vector reduction is a pairwise sum (_dot), so the result
+    does not depend on the BLAS thread count.
+
+    Returns (x, info, iterations), info 0 when a test held and maxiter when
+    the cap stopped the iteration.  x is finite.  A breakdown raises
+    SingularJacobian: b^T M^-1 b < 0 (M is not positive definite),
+    beta^2 < 0 (A or M is not symmetric), or a non-finite reduction.
+    """
+    eps = np.finfo(float).eps
+
+    def reduced(a, c):
+        d = _dot(a, c)
+        if not math.isfinite(d):
+            raise SingularJacobian("MINRES breakdown: non-finite inner product")
+        return d
+
+    x = np.zeros_like(b)
+    r1 = b.copy()
+    y = psolve(r1)
+    beta1 = reduced(r1, y)
+    if beta1 < 0:
+        raise SingularJacobian("MINRES breakdown: b^T M^-1 b < 0, the "
+                               "preconditioner is not positive definite")
+    if beta1 == 0:
+        return x, 0, 0
+    beta1 = math.sqrt(beta1)
+
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin = 0.0, 0.0, np.finfo(float).max
+    cs, sn = -1.0, 0.0
+    w = np.zeros_like(b)
+    w2 = np.zeros_like(b)
+    r2 = r1
+    itn = 0
+    while itn < maxiter:
+        itn += 1
+        # Lanczos step: v_k, alpha_k and beta_k+1 of the tridiagonal T_k
+        v = (1.0 / beta) * y
+        y = apply_A(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = reduced(v, y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = psolve(r2)
+        oldb, beta = beta, reduced(r2, y)
+        if beta < 0:
+            raise SingularJacobian("MINRES breakdown: beta^2 < 0, the "
+                                   "operator or M is not symmetric")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa * alfa + oldb * oldb + beta * beta
+        # b is an eigenvector of M^-1 A: x_1 is the solution
+        eigenvector = itn == 1 and beta / beta1 <= 10 * eps
+
+        # Givens rotation that eliminates beta_k+1 from T_k's QR factor
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.sqrt(gbar * gbar + dbar * dbar)
+        gamma = max(math.sqrt(gbar * gbar + beta * beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm = math.sqrt(tnorm2)
+        ynorm = math.sqrt(reduced(x, x))
+        test1 = (math.inf if ynorm == 0 or anorm == 0
+                 else phibar / (anorm * ynorm))  # |r| / (|A| |x|)
+        test2 = math.inf if anorm == 0 else root / anorm  # |A r| / (|A| |r|)
+        if (eigenvector or test1 <= rtol or test2 <= rtol
+                or 1 + test1 <= 1 or 1 + test2 <= 1
+                or anorm * ynorm * eps >= beta1  # epsx: rounding floor
+                or gmax / gmin >= 0.1 / eps):  # Acond
+            return x, 0, itn
+    return x, maxiter, itn
+
+
 def harmonic_extension(spec: GridSpec, boundary: ScalarField) -> ScalarField:
     """Solve Delta_h v = 0 with the given Dirichlet data (solve's start)."""
     if boundary.spec != spec:
@@ -176,14 +278,14 @@ def solve(p: PdeProblem) -> SurfaceData:
     Starts from the harmonic extension of the boundary data.  Each step
     solves (-J) step = F by MINRES with the fast-Poisson preconditioner
     (-L_h + s I)^-1, s = max(mean(4 sinh 2u), 0), to the Eisenstat-Walker
-    forcing term of that step.  A MINRES breakdown or
-    a non-finite step raises SingularJacobian.  When MINRES stops at its
-    iteration cap (info > 0) the unconverged step is used as an inexact
-    Newton step: the line search still has to reduce the true residual, and
-    convergence is still declared only on the true residual.  Each step is
-    logged at DEBUG on the "minsurf.pde" logger: iteration, sup residual,
-    accepted damping, MINRES iterations, forcing term and MINRES info (0
-    when converged, the iteration count when capped).
+    forcing term of that step.  A MINRES breakdown (see _minres) raises
+    SingularJacobian.  When MINRES stops at its iteration cap (info > 0)
+    the unconverged step is used as an inexact Newton step: the line search
+    still has to reduce the true residual, and convergence is still
+    declared only on the true residual.  Each step is logged at DEBUG on
+    the "minsurf.pde" logger: iteration, sup residual, accepted damping,
+    MINRES iterations, forcing term and MINRES info (0 when converged, the
+    iteration count when capped).
 
     Residual is measured in the sup norm over interior nodes.  Backtracking
     halves the step down to 2^-10 of the nominal damping; failure to reduce
@@ -222,7 +324,7 @@ def solve(p: PdeProblem) -> SurfaceData:
         if not np.all(np.isfinite(dg)):
             raise NewtonDiverged(it, res)
 
-        norm_f = float(np.linalg.norm(res_vec))
+        norm_f = math.sqrt(_dot(res_vec, res_vec))
         if norm_prev is not None:
             ew = _EW_GAMMA * (norm_f / norm_prev) ** _EW_ALPHA
             safeguard = _EW_GAMMA * eta**_EW_ALPHA
@@ -232,17 +334,9 @@ def solve(p: PdeProblem) -> SurfaceData:
         norm_prev = norm_f
 
         lam_s = eigs + max(float(np.mean(dg)), 0.0)
-        minus_J = LinearOperator((v.size,) * 2, dtype=float,
-                                 matvec=lambda x: dg * x - _apply_laplacian(spec, x))
-        precond = LinearOperator((v.size,) * 2, dtype=float,
-                                 matvec=lambda r: _poisson_solve(spec, r, lam_s))
-        its = []  # one entry per MINRES iteration
-        step, info = minres(minus_J, res_vec, rtol=eta, maxiter=_MINRES_MAXITER,
-                            M=precond, callback=lambda _: its.append(None))
-        if info < 0:
-            raise SingularJacobian(f"MINRES breakdown (info {info})")
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("non-finite Newton step")
+        step, info, its = _minres(
+            lambda x: dg * x - _apply_laplacian(spec, x), res_vec,
+            lambda r: _poisson_solve(spec, r, lam_s), eta, _MINRES_MAXITER)
 
         lam = p.newton.damping
         accepted = False
@@ -261,7 +355,7 @@ def solve(p: PdeProblem) -> SurfaceData:
             raise NewtonDiverged(it + 1, res)
         _log.debug("newton iteration %d: residual %.3e, damping %g, "
                    "%d MINRES iterations, forcing %.2e, MINRES info %d",
-                   it + 1, res, lam, len(its), eta, info)
+                   it + 1, res, lam, its, eta, info)
     else:
         if res > tol_eff(v):
             raise NewtonDiverged(p.newton.max_iter, res)

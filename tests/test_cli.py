@@ -98,6 +98,19 @@ class TestSolve:
         assert run(["solve", "--width", "3.0",
                     "--out", str(tmp_path / "r.json")]) == 64
 
+    def test_minres_breakdown_exits_2(self, tmp_path, monkeypatch, capsys):
+        # an indefinite preconditioner breaks MINRES down: a numerical
+        # breakdown, not a bad request
+        from minsurf import pde
+        inner = pde._poisson_solve
+        monkeypatch.setattr(pde, "_poisson_solve",
+                            lambda spec, r, lam: -inner(spec, r, lam))
+        out = tmp_path / "r.json"
+        assert run(["solve", "--width", "0.8", "--nx", "33", "--ny", "32",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "SingularJacobian" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def solved_csv(tmp_path_factory):
@@ -264,6 +277,8 @@ class TestFlow:
         rep = load(out)
         assert rep["constraint_drift"] <= 1e-9
         assert rep["lambda_plus"]["plateau_max"] < 1.0
+        # flow computes no verdict, so it claims none
+        assert "passed" not in rep
 
     def test_negative_time_opens_curvatures(self, tmp_path):
         out = tmp_path / "f.json"
@@ -321,8 +336,10 @@ def stand_in(action=None):
     def criterion():
         if action is not None:
             action()
+        pools = {var: os.environ.get(var) for var in cli._POOL_VARS}
         return CriterionResult(name="stand-in", passed=True,
-                               details={"pid": os.getpid()}, elapsed_s=0.0)
+                               details={"pid": os.getpid(), "pools": pools},
+                               elapsed_s=0.0)
     return criterion
 
 
@@ -339,6 +356,10 @@ def stand_ins(monkeypatch):
     names = ["01-p", "02-c", "03-p", "04-c"]
     monkeypatch.setattr(acceptance, "LANES", {"chart": ("02-c", "04-c"),
                                               "profile": ("01-p", "03-p")})
+    # _main(..., lanes=True) lowers the pool sizes in this process's
+    # environment; setting them here lets monkeypatch restore them
+    for var in cli._POOL_VARS:
+        monkeypatch.setenv(var, "2")
 
     def install(actions=None):
         actions = actions or {}
@@ -405,6 +426,37 @@ class TestVerifyLanes:
         pids = {c["details"]["pid"] for c in load(out)["criteria"]}
         assert pids == {os.getpid()}
 
+    @pytest.mark.parametrize("cpus,preset,lowered", [
+        (2, "2", "1"), (3, "2", "1"), (4, "8", "2"), (4, "1", "1"),
+        (4, "0", "2"), (4, None, "2")])
+    def test_each_lane_gets_its_share_of_blas_threads(
+            self, stand_ins, monkeypatch, tmp_path, cpus, preset, lowered):
+        # a larger value set beforehand is lowered, not kept
+        stand_ins()
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        for var in cli._POOL_VARS:
+            if preset is None:
+                monkeypatch.delenv(var)
+            else:
+                monkeypatch.setenv(var, preset)
+        out = tmp_path / "v.json"
+        assert cli._main(["verify", "--out", str(out)], lanes=True) == 0
+        no_child_left()
+        details = [c["details"] for c in load(out)["criteria"]]
+        assert len({d["pid"] for d in details}) == 2
+        want = {var: lowered for var in cli._POOL_VARS}
+        assert all(d["pools"] == want for d in details)
+
+    def test_main_leaves_the_blas_threads_alone(self, stand_ins, tmp_path):
+        stand_ins()
+        before = dict(os.environ)
+        out = tmp_path / "v.json"
+        assert run(["verify", "--out", str(out)]) == 0
+        assert dict(os.environ) == before
+        details = [c["details"] for c in load(out)["criteria"]]
+        assert all(d["pools"] == {var: "2" for var in cli._POOL_VARS}
+                   for d in details)
+
     def test_reports_match_the_serial_run(self, tmp_path):
         # 06 is in the chart lane, 01 and 09 in the profile lane
         reports = []
@@ -420,6 +472,62 @@ class TestVerifyLanes:
             assert proc.returncode == 0, proc.stderr
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv,cpus,in_lanes", [
+    (["verify"], 2, True),
+    (["verify"], 1, False),
+    (["verify", "--only", "03-pde-vs-ode-convergence",
+      "--only", "06-rate-product-rule"], 2, True),
+    (["verify", "--only", "01-ode-first-integral",
+      "--only", "09-moment-conditions"], 2, False),
+    (["verify", "--only", "bogus"], 2, False),
+    (["flow", "--t", "1e-3"], 2, False),
+])
+def test_lanes_are_decided_from_the_arguments(monkeypatch, argv, cpus,
+                                              in_lanes):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    args = cli._build_parser().parse_args(argv)
+    assert cli._runs_in_lanes(args) is in_lanes
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--only", "01-ode-first-integral"],
+    ["ode", "--v0", "0"],
+])
+def test_serial_program_leaves_the_blas_threads_alone(monkeypatch, tmp_path,
+                                                      argv):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    for var in cli._POOL_VARS:
+        monkeypatch.setenv(var, "2")
+    before = dict(os.environ)
+    assert cli._main(argv + ["--out", str(tmp_path / "r.json")],
+                     lanes=True) == 0
+    assert dict(os.environ) == before
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # criterion 03 is pde.solve's MINRES; 06 puts the other lane in play.
+    # The last run keeps two BLAS threads: serial runs lower nothing.
+    runs = {"blas1": {"OPENBLAS_NUM_THREADS": "1"},
+            "blas2": {"OPENBLAS_NUM_THREADS": "2"},
+            "serial": {"MINSURF_THREADS": "1"},
+            "serial-blas2": {"MINSURF_THREADS": "1",
+                             "OPENBLAS_NUM_THREADS": "2"}}
+    base = {k: v for k, v in os.environ.items()
+            if k not in cli._POOL_VARS and k != "MINSURF_THREADS"}
+    reports = {}
+    for label, env in runs.items():
+        out = tmp_path / f"{label}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "minsurf.cli", "verify",
+             "--only", "03-pde-vs-ode-convergence",
+             "--only", "06-rate-product-rule", "--out", str(out)],
+            env=dict(base, PYTHONPATH=SRC, **env), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reports[label] = out.read_bytes()
+    assert len(set(reports.values())) == 1, sorted(reports)
 
 
 def test_program_leaves_gc_off_and_the_heap_frozen(tmp_path):

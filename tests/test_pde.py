@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from minsurf.fields import GridSpec, ScalarField, diff2, laplacian
+from minsurf import invariant_ode as iode
 from minsurf import pde
-from minsurf.errors import NewtonDiverged
+from minsurf.errors import NewtonDiverged, SingularJacobian
 
 
 def square_problem(width: float, c: float, n: int = 33) -> pde.PdeProblem:
@@ -255,6 +256,190 @@ class TestPoissonSolve:
         rhs = shift * x - pde._apply_laplacian(spec, x)
         y = pde._poisson_solve(spec, rhs, pde._poisson_eigs(spec) + shift)
         assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def symmetric_system(n, seed, indefinite, spread=10.0):
+    """A = Q diag(d) Q^T with |d| in [1, spread] (both signs when indefinite
+    and n >= 2), a diagonal SPD preconditioner M^-1 in [0.5, 2], and b."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = rng.uniform(1.0, spread, n)
+    if indefinite:
+        d[::2] *= -1.0
+    m_inv = rng.uniform(0.5, 2.0, n)
+    return (q * d) @ q.T, m_inv, rng.standard_normal(n)
+
+
+def scipy_minres(A, b, m_inv, rtol, maxiter):
+    """(x, info, iterations) of scipy.sparse.linalg.minres on the same
+    operators."""
+    from scipy.sparse.linalg import LinearOperator, minres
+    its = []
+    x, info = minres(
+        LinearOperator((b.size,) * 2, matvec=A, dtype=float), b, rtol=rtol,
+        maxiter=maxiter, callback=lambda _: its.append(None),
+        M=LinearOperator((b.size,) * 2, matvec=m_inv, dtype=float))
+    return x, info, len(its)
+
+
+def jacobian_operators(p):
+    """-J and pde.solve's preconditioner at p's solution, where 4 sinh 2u
+    varies over the chart (it takes both signs when u does)."""
+    spec = p.spec
+    v = pde.solve(p).u.values[spec.interior_mask()]
+    dg = 4.0 * np.sinh(2.0 * v)
+    lam = pde._poisson_eigs(spec) + max(float(np.mean(dg)), 0.0)
+    return (lambda x: dg * x - pde._apply_laplacian(spec, x),
+            lambda r: pde._poisson_solve(spec, r, lam))
+
+
+class TestMinres:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           indefinite=st.booleans(), precondition=st.booleans())
+    def test_solves_small_symmetric_systems(self, n, seed, indefinite,
+                                            precondition):
+        A, m_inv, b = symmetric_system(n, seed, indefinite)
+        psolve = (lambda r: m_inv * r) if precondition else (lambda r: r)
+        x, info, its = pde._minres(lambda v: A @ v, b, psolve, 1e-12, 10 * n)
+        ref = np.linalg.solve(A, b)
+        assert info == 0 and 1 <= its <= 10 * n
+        assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_iteration_cap_returns_maxiter(self):
+        A, m_inv, b = symmetric_system(40, 7, indefinite=True)
+        x, info, its = pde._minres(lambda v: A @ v, b, lambda r: m_inv * r,
+                                   1e-14, 3)
+        assert (info, its) == (3, 3)
+        assert np.all(np.isfinite(x))
+
+    # the same iterations as scipy's while the Lanczos vectors stay close to
+    # orthogonal; near n iterations the two round apart, as any two
+    # summation orders do
+    @pytest.mark.parametrize("indefinite", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("rtol,maxiter", [(1e-6, 200), (1e-14, 5)])
+    def test_matches_scipy_on_dense_systems(self, seed, indefinite, rtol,
+                                            maxiter):
+        A, m_inv, b = symmetric_system(60, seed, indefinite, spread=3.0)
+        ours = pde._minres(lambda v: A @ v, b, lambda r: m_inv * r, rtol,
+                           maxiter)
+        theirs = scipy_minres(lambda v: A @ v, b, lambda r: m_inv * r, rtol,
+                              maxiter)
+        assert ours[1:] == theirs[1:]
+        assert np.linalg.norm(ours[0] - theirs[0]) <= (
+            max(rtol, 1e-12) * np.linalg.norm(theirs[0]))
+
+    @pytest.mark.parametrize("case", ["strip", "indefinite"])
+    @pytest.mark.parametrize("rtol", [0.5, 1e-4, 1e-10])
+    def test_matches_scipy_on_newton_jacobians(self, sol0, case, rtol):
+        p = (pde.invariant_strip_problem(sol0, 0.8, nx=65, ny=64)
+             if case == "strip" else sign_changing_square(65))
+        minus_J, precond = jacobian_operators(p)
+        b = np.random.default_rng(5).standard_normal(p.spec.interior_mask().sum())
+        ours = pde._minres(minus_J, b, precond, rtol, 200)
+        theirs = scipy_minres(minus_J, b, precond, rtol, 200)
+        assert ours[1:] == theirs[1:]
+        assert np.linalg.norm(ours[0] - theirs[0]) <= (
+            max(rtol, 1e-12) * np.linalg.norm(theirs[0]))
+
+    @pytest.mark.parametrize("case", ["eigenvector", "near-singular"])
+    def test_early_exits_match_scipy(self, case):
+        # rtol below eps: only the eigenvector exit, or the rounding floor
+        # epsx and the condition estimate Acond, can stop the iteration
+        if case == "eigenvector":  # M^-1 A b = b to rounding
+            A, b = np.diag([1.0, 2.0]), np.array([1.0, 1e-15])
+        else:  # |x| ~ 1e17 |b|: epsx stops it after n steps
+            A, b = np.diag([1e-17, *range(1, 30)]), np.ones(30)
+        ours = pde._minres(lambda v: A @ v, b, lambda r: r, 1e-20, 100)
+        theirs = scipy_minres(lambda v: A @ v, b, lambda r: r, 1e-20, 100)
+        # x is rounding noise along the 1e-17 eigenvector; only the stop is
+        # compared
+        assert ours[1:] == theirs[1:] and ours[1] == 0
+
+    def test_zero_right_hand_side_returns_zero(self):
+        x, info, its = pde._minres(lambda v: v, np.zeros(4), lambda r: r,
+                                   1e-8, 10)
+        assert (info, its) == (0, 0) and not x.any()
+
+    def test_indefinite_preconditioner_is_a_breakdown(self):
+        A, _, b = symmetric_system(6, 4, indefinite=False)
+        with pytest.raises(SingularJacobian, match="not positive definite"):
+            pde._minres(lambda v: A @ v, b, lambda r: -r, 1e-8, 50)
+
+    def test_negative_beta_is_a_breakdown(self):
+        # M^-1 = diag(1, -1): b^T M^-1 b = 1 > 0, but the next Lanczos
+        # vector (0, 1) has M^-1-norm squared -1
+        A = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(SingularJacobian, match="not symmetric"):
+            pde._minres(lambda v: A @ v, np.array([1.0, 0.0]),
+                        lambda r: r * np.array([1.0, -1.0]), 1e-8, 50)
+
+    def test_non_finite_reduction_is_a_breakdown(self):
+        with pytest.raises(SingularJacobian, match="non-finite"):
+            pde._minres(lambda v: np.full_like(v, np.nan), np.ones(3),
+                        lambda r: r, 1e-8, 50)
+
+    def test_solve_raises_on_an_indefinite_preconditioner(self, sol0,
+                                                          monkeypatch):
+        inner = pde._poisson_solve
+        monkeypatch.setattr(pde, "_poisson_solve",
+                            lambda spec, r, lam: -inner(spec, r, lam))
+        with pytest.raises(SingularJacobian):
+            pde.solve(pde.invariant_strip_problem(sol0, 0.8, nx=33, ny=32))
+
+
+def bench_rectangle(rng, n=128):
+    """The benchmark's sign-changing unit square: three random Fourier
+    modes per axis, boundary data rescaled onto [-0.5, 0.3]."""
+    spec = GridSpec(nx=n + 1, ny=n + 1, hx=1.0 / n, hy=1.0 / n)
+    X, Y = spec.nodes()
+    v = np.zeros(spec.shape)
+    for k in (1, 2, 3):
+        a, b = rng.uniform(-1.0, 1.0, 2)
+        px, py = rng.uniform(0.0, 2 * np.pi, 2)
+        v += (a * np.cos(2 * np.pi * k * X + px)
+              + b * np.cos(2 * np.pi * k * Y + py)) / k
+    edge = ~spec.interior_mask()
+    lo, hi = v[edge].min(), v[edge].max()
+    v = -0.5 + 0.8 * (v - lo) / (hi - lo)
+    return pde.PdeProblem(spec=spec, boundary=ScalarField(spec, v))
+
+
+# (iteration, damping, MINRES iterations, MINRES info) of each Newton step,
+# as scipy.sparse.linalg.minres gave them
+SCIPY_STEPS = [(1, 1.0, 1, 0), (2, 1.0, 1, 0), (3, 1.0, 2, 0), (4, 1.0, 4, 0)]
+SCIPY_RECT_STEPS = {
+    (0, 0): SCIPY_STEPS,
+    (0, 1): SCIPY_STEPS,
+    (1, 0): [(1, 1.0, 1, 0), (2, 1.0, 1, 0), (3, 1.0, 3, 0), (4, 1.0, 6, 0)],
+    (1, 1): [(1, 1.0, 1, 0), (2, 1.0, 1, 0), (3, 1.0, 2, 0), (4, 1.0, 5, 0)],
+}
+
+
+class TestNewtonStepLog:
+    """The benchmark's solve problems take the Newton and MINRES steps they
+    took with scipy's MINRES."""
+
+    def steps(self, p, caplog):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="minsurf.pde"):
+            pde.solve(p)
+        return [(a[0], a[2], a[3], a[5]) for a in
+                (r.args for r in caplog.records if r.name == "minsurf.pde")]
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_strips(self, sol0, n, caplog):
+        delta = iode.estimate_delta(0.0)
+        p = pde.invariant_strip_problem(sol0, 0.8 * delta, nx=n + 1, ny=n)
+        assert self.steps(p, caplog) == SCIPY_STEPS
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sign_changing_rectangles(self, seed, caplog):
+        rng = np.random.default_rng(seed)
+        for k in range(2):
+            p = bench_rectangle(rng)
+            assert self.steps(p, caplog) == SCIPY_RECT_STEPS[seed, k]
 
 
 class TestResidual:
