@@ -457,7 +457,8 @@ def _runs_in_lanes(args) -> bool:
     """Whether `verify` runs as two lanes: its criteria span both lanes, and
     os.fork and at least two usable CPUs exist.  Reads only the parsed args
     and the static lane names, so it can run before numpy loads."""
-    if args.command != "verify" or not hasattr(os, "fork") or _usable_cpus() < 2:
+    if (args.command != "verify" or not hasattr(os, "fork")
+            or _usable_cpus() < 2):
         return False
     from .lanes import LANES
 

@@ -3,8 +3,9 @@
 They partition acceptance.REGISTRY by the cached building blocks the
 criteria read, so each lane can run in its own process without building the
 other's: the chart lane reads acceptance's _chart, _bump and _immersed; the
-profile/deform lane reads the profile alone or the deform constructions.  The table lives here, free of numpy, so that the ``minsurf``
-program can size each lane's BLAS pool before the numerical stack loads;
+profile/deform lane reads the profile alone or the deform constructions.
+The table lives here, free of numpy, so that the ``minsurf`` program can
+size each lane's BLAS pool before the numerical stack loads;
 acceptance.LANES is this table.
 """
 

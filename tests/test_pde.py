@@ -336,7 +336,8 @@ class TestMinres:
         p = (pde.invariant_strip_problem(sol0, 0.8, nx=65, ny=64)
              if case == "strip" else sign_changing_square(65))
         minus_J, precond = jacobian_operators(p)
-        b = np.random.default_rng(5).standard_normal(p.spec.interior_mask().sum())
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal(p.spec.interior_mask().sum())
         ours = pde._minres(minus_J, b, precond, rtol, 200)
         theirs = scipy_minres(minus_J, b, precond, rtol, 200)
         assert ours[1:] == theirs[1:]
