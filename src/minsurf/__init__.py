@@ -20,11 +20,15 @@ The pieces fit together in one pipeline:
   holonomy cases) and detection/genericity analysis of that zero set.
 - ``acceptance``: the quantitative verification suite.
 - ``cli``: ``minsurf`` command line front end.
+- ``kernels``: the numpy kernels these share: not-a-knot cubic splines,
+  cubic Hermite evaluation and composite Simpson quadrature.
+
+numpy is the only runtime dependency; scipy serves the tests as an oracle.
 
 Top-level names resolve lazily so that importing :mod:`minsurf` (in
 particular through the ``minsurf`` console script, which must apply the
 ``MINSURF_THREADS`` cap before the numerical stack loads) stays free of
-numpy/scipy imports until something is actually used.
+numpy imports until something is actually used.
 
 Diagnostics (such as the per-step Newton trace of ``pde.solve``) go to the
 ``minsurf`` logger, silent unless the caller configures logging.

@@ -35,11 +35,11 @@ import pickle
 import signal
 import sys
 
-# the thread-pool sizes numpy/scipy's native libraries read when they load
+# the thread-pool sizes numpy's native libraries read when they load
 _POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
               "NUMEXPR_NUM_THREADS")
 
-# honour the thread cap before numpy/scipy load (imports below are lazy);
+# honour the thread cap before numpy loads (imports below are lazy);
 # only set what the user has not already pinned themselves
 _threads = os.environ.get("MINSURF_THREADS")
 if _threads:
@@ -219,7 +219,6 @@ def cmd_solve(args) -> int:
         "delta": delta,
         "residual": residual(s),
         "u_range": [float(s.u.values.min()), float(s.u.values.max())],
-        "passed": True,
     }
     _emit(report, args.out)
     return EXIT_OK

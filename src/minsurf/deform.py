@@ -35,10 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
-from scipy.interpolate import CubicSpline
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BallExceedsChart,
@@ -50,6 +46,8 @@ from .errors import (
 )
 from .fields import GridSpec, ScalarField
 from .geometry import SurfaceData
+from .kernels import (cumulative_simpson, hermite, hermite_primitive,
+                      simpson, spline_slopes)
 
 __all__ = [
     "smoothstep",
@@ -270,11 +268,27 @@ def _components(mask: np.ndarray, periodic_y: bool) -> list[np.ndarray]:
     ok = (i2 < nx) & (j2 >= 0) & (j2 < ny)
     nb = np.where(ok, pos[np.where(ok, i2 * ny + j2, 0)], -1)
     edge = nb >= 0
-    indptr = np.append(0, np.cumsum(edge.sum(axis=1)))
-    graph = csr_matrix((np.ones(indptr[-1]), nb[edge], indptr),
-                       shape=(flat.size,) * 2)
-    # csgraph numbers components by their first node, here row-major
-    _, labels = connected_components(graph, directed=False)
+    a = np.broadcast_to(np.arange(flat.size)[:, None], nb.shape)[edge]
+    b = nb[edge]
+    # union-find over all edges at once: hook the larger root of each
+    # split edge to the smaller, then jump pointers to the roots, until
+    # every edge joins one root.  Roots only decrease, so each ends as its
+    # component's first node in row-major order, and the labels count up
+    # in that order
+    root = np.arange(flat.size)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(ra, rb)[split],
+                      np.minimum(ra, rb)[split])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    labels = np.unique(root, return_inverse=True)[1]
     order = np.argsort(labels, kind="stable")
     return np.split(np.column_stack([ii, jj])[order],
                     np.cumsum(np.bincount(labels))[:-1])
@@ -648,8 +662,7 @@ def solve_xi(xs: np.ndarray, hs: np.ndarray, x0: float, y0: float) -> XiResult:
         raise ValueError("sample abscissae must be strictly increasing")
     delta_c = float(xs[-1] - xs[0])
     x_lo = float(xs[0])
-    h_spline = CubicSpline(xs, hs)
-    hp = h_spline.derivative()
+    hp_s = spline_slopes(xs, hs)  # h' at the samples
 
     def make_pair(centers, w):
         c1 = x_lo + centers[0] * delta_c
@@ -661,13 +674,12 @@ def solve_xi(xs: np.ndarray, hs: np.ndarray, x0: float, y0: float) -> XiResult:
         dp2 = lambda x: _exp_bump_deriv((np.asarray(x) - c2) / ww) / ww
         return (psi1, psi2), (dp1, dp2), (c1, c2)
 
-    hp_s = hp(xs)
     chosen = None
     for k, (centers, w) in enumerate(_PLACEMENTS):
         (psi1, psi2), derivs, cc = make_pair(centers, w)
         M = np.array([
-            [simpson(psi1(xs) * hp_s, x=xs), simpson(psi2(xs) * hp_s, x=xs)],
-            [simpson(psi1(xs), x=xs), simpson(psi2(xs), x=xs)],
+            [simpson(psi1(xs) * hp_s, xs), simpson(psi2(xs) * hp_s, xs)],
+            [simpson(psi1(xs), xs), simpson(psi2(xs), xs)],
         ])
         row_scale = np.linalg.norm(M[0]) * np.linalg.norm(M[1])
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
@@ -693,28 +705,29 @@ def solve_xi(xs: np.ndarray, hs: np.ndarray, x0: float, y0: float) -> XiResult:
     def xi_prime(x):
         return ab[0] * dp1(x) + ab[1] * dp2(x)
 
-    # antiderivative from an exact integral of a dense cubic-spline fit;
-    # value error ~ (delta_c/16384)^4 |xi''''| stays below 1e-10 even for
-    # the narrow third placement
+    # antiderivative on a dense grid: the exact integral of the cubic
+    # Hermite interpolant of (xi, xi'), interpolated between the nodes with
+    # the slopes xi.  With d = delta_c/65536 the node values err by about
+    # d^4 |xi''''| / 720 and the values between by d^4 |xi'''| / 384, far
+    # below 1e-10 even for the narrow third placement
     xd = np.linspace(x_lo, x_lo + delta_c, _DENSE_N)
-    S = CubicSpline(xd, xi(xd))
-    Xi_pp = S.antiderivative()
-    Xi_hi = float(Xi_pp(x_lo + delta_c))
+    xi_d = xi(xd)
+    Xi_d = hermite_primitive(xd, xi_d, xi_prime(xd))
+    Xi_hi = float(Xi_d[-1])
 
     def Xi(x):
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, x_lo, x_lo + delta_c)
-        out = np.asarray(Xi_pp(xc), dtype=float)
+        out = hermite(xd, Xi_d, xi_d, np.clip(x, x_lo, x_lo + delta_c))
         return np.where(x >= x_lo + delta_c, Xi_hi, out)
 
     func = XiFunction(xi=xi, xi_prime=xi_prime, Xi=Xi,
                       support=(x_lo, x_lo + delta_c))
 
     def residuals(grid):
-        hpg = hp(grid)
+        hpg = hermite(xs, hs, hp_s, grid, nu=1)
         return np.array([
-            simpson(xi(grid) * hpg, x=grid) - x0,
-            simpson(xi(grid), x=grid) + y0,
+            simpson(xi(grid) * hpg, grid) - x0,
+            simpson(xi(grid), grid) + y0,
         ])
 
     res_sample = residuals(xs)
@@ -736,8 +749,8 @@ class GField:
 
     The closed form is G(x, y) = saddle(x, y) + y Xi(x) - V(x) with
     Xi = int xi and V = int int h xi''; both primitives are exact integrals
-    of dense spline fits, extended by the correct constants/linear parts
-    outside the construction window, so the two outer slabs are exact.
+    of dense cubic Hermite fits, extended by the correct constants/linear
+    parts outside the construction window, so the two outer slabs are exact.
     """
 
     field: ScalarField
@@ -774,20 +787,24 @@ def build_G(h_samples: tuple, xi: "XiResult | XiFunction",
     func = xi.func if isinstance(xi, XiResult) else xi
     x_lo, x_hi = func.support
     delta_c = x_hi - x_lo
-    h_spline = CubicSpline(xs, hs)
+    hp_s = spline_slopes(xs, hs)
+
+    def h_spline(x, nu=0):
+        return hermite(xs, hs, hp_s, x, nu)
 
     xd = np.linspace(x_lo, x_hi, _DENSE_N)
     xi_d = func.xi(xd)
     xip_d = func.xi_prime(xd)
-    h_d = h_spline(np.clip(xd, xs[0], xs[-1]))
+    xc = np.clip(xd, xs[0], xs[-1])
+    h_d = h_spline(xc)
 
     # closedness gate: fundamental-theorem consistency of the carried
     # derivative/antiderivative pairs against composite-Simpson quadrature.
     # A plaquette curl at any realistic grid step is dominated by its own
     # O(h^2 xi''') truncation, far above 1e-10, so the gate integrates
     # instead of differentiating.
-    cum_xi = cumulative_simpson(xi_d, x=xd, initial=0.0)
-    cum_xip = cumulative_simpson(xip_d, x=xd, initial=0.0)
+    cum_xi = cumulative_simpson(xi_d, xd)
+    cum_xip = cumulative_simpson(xip_d, xd)
     gate = max(
         float(np.max(np.abs(cum_xi - (func.Xi(xd) - func.Xi(x_lo))))),
         float(np.max(np.abs(cum_xip - (func.xi(xd) - func.xi(xd[0]))))),
@@ -796,15 +813,20 @@ def build_G(h_samples: tuple, xi: "XiResult | XiFunction",
         raise ClosednessViolation(
             f"xi interpolation inconsistent at {gate:.3e} (gate 1e-10)")
 
-    W_pp = CubicSpline(xd, h_d * xip_d).antiderivative()
-    V_pp = W_pp.antiderivative()
-    W_hi = float(W_pp(x_hi))
-    V_hi = float(V_pp(x_hi))
+    # W = int h xi' = [h xi] - int h' xi by parts: the integrand h' xi has
+    # the slope h'' xi + h' xi', which needs no xi''.  V = int W, whose
+    # integrand W has the slope h xi'
+    hp_d = h_spline(xc, nu=1)
+    W_d = (h_d * xi_d - h_d[0] * xi_d[0]
+           - hermite_primitive(xd, hp_d * xi_d,
+                               h_spline(xc, nu=2) * xi_d + hp_d * xip_d))
+    V_d = hermite_primitive(xd, W_d, h_d * xip_d)
+    W_hi = float(W_d[-1])
+    V_hi = float(V_d[-1])
 
     def V(x):
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, x_lo, x_hi)
-        out = np.asarray(V_pp(xc), dtype=float)
+        out = hermite(xd, V_d, W_d, np.clip(x, x_lo, x_hi))
         return np.where(x >= x_hi, V_hi + W_hi * (x - x_hi), out)
 
     def G(x, y):

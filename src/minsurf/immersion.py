@@ -31,7 +31,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import ConstraintDrift, DegenerateTangents, SingularMetric
 from .fields import (
@@ -44,6 +43,7 @@ from .fields import (
     diff1,
 )
 from .geometry import SurfaceData, gauss_residual
+from .kernels import hermite, spline_slopes
 
 __all__ = [
     "minkowski_dot",
@@ -216,29 +216,58 @@ def _half_steps(ts):
     return out
 
 
+def _patch(k1, k2, fs, ss, g1, g2):
+    """(f, d1 f, d2 f) on the grid g1 x g2 of the bicubic Hermite patch on
+    the knots k1 x k2.  fs = [f | d2 f] stacks the node values and their
+    slopes along axis 1; ss = [d1 f | d1 d2 f] holds the slopes of both
+    along axis 0.  Interpolates along axis 0 first, then along axis 1."""
+    m = fs.shape[1] // 2
+    # along axis 0: the fit and its axis-0 derivative at g1, each with its
+    # axis-1 slopes; then axis-1 knots first, as hermite gathers them
+    pair = np.stack([hermite(k1, fs, ss, g1, nu) for nu in (0, 1)])
+    vals, slopes = (np.ascontiguousarray(pair[..., half].transpose(2, 0, 1))
+                    for half in (np.s_[:m], np.s_[m:]))
+    both = hermite(k2, vals, slopes, g2)
+    return (both[:, 0].T, both[:, 1].T,
+            hermite(k2, vals[:, 0], slopes[:, 0], g2, nu=1).T)
+
+
 def _coeff_tables(s: SurfaceData, *grids):
     """(u, u_x, u_y) of one bicubic fit of the chart, tabulated on each grid.
 
     Each grid is a pair of increasing coordinate arrays (xs, ys); its table
-    is a tuple of three arrays of shape (len(xs), len(ys)).  The fit is made
-    once and evaluated once per grid, so the RK4 sweeps only slice arrays.
-    For periodic grids the sample band is extended by wrap columns before
-    fitting so that evaluation near the seam stays interior to the spline.
+    is a tuple of three arrays of shape (len(xs), len(ys)).  The fit is the
+    tensor product of not-a-knot cubic splines (FITPACK's bicubic
+    interpolant), written as the bicubic Hermite patch of the node values
+    and of the spline slopes u_x, u_y and u_xy: two spline solves, along y
+    and then along x.  Each table interpolates first along the axis that
+    leaves the smaller intermediate arrays.  The work is linear in the node
+    count, and the RK4 sweeps only slice arrays.  For periodic grids the
+    sample band is extended by wrap columns before fitting so that
+    evaluation near the seam stays interior to the spline.
     """
     spec = s.spec
     u = s.u.values
-    ys = spec.ys
+    xs, ys = spec.xs, spec.ys
     if spec.periodic_y:
         wrap = 3
         ys = spec.origin[1] + spec.hy * np.arange(-wrap, spec.ny + wrap)
         u = np.concatenate([u[:, -wrap:], u, u[:, :wrap]], axis=1)
-    sp = RectBivariateSpline(
-        spec.xs, ys, u, kx=min(3, spec.nx - 1), ky=min(3, ys.size - 1)
-    )
-    return [
-        tuple(sp(gx, gy, dx=dx, dy=dy) for dx, dy in ((0, 0), (1, 0), (0, 1)))
-        for gx, gy in grids
-    ]
+    # the patch data in both layouts, C-ordered for hermite's gathers
+    u_t = np.ascontiguousarray(u.T)
+    u_yt = spline_slopes(ys, u_t)
+    fs = np.concatenate([u, u_yt.T], axis=1)
+    ss = spline_slopes(xs, fs)  # [u_x | u_xy]
+    fs_t = np.concatenate([u_t, ss[:, :ys.size].T], axis=1)
+    ss_t = np.concatenate([u_yt, ss[:, ys.size:].T], axis=1)
+    tables = []
+    for gx, gy in grids:
+        if gx.size * ys.size <= gy.size * xs.size:
+            tables.append(_patch(xs, ys, fs, ss, gx, gy))
+        else:
+            v, v_y, v_x = _patch(ys, xs, fs_t, ss_t, gy, gx)
+            tables.append((v.T, v_x.T, v_y.T))
+    return tables
 
 
 _E0 = np.array([1.0, 0.0, 0.0, 0.0])

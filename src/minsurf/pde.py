@@ -8,11 +8,13 @@ by damped inexact Newton.  Each step solves with the Jacobian
 J = Delta_h - 4 sinh(2u) I_diag by MINRES, preconditioned with the exact
 inverse of -Delta_h + s I: the 5-point Laplacian diagonalises by the sine
 transform in x and by the real FFT (cylinder) or the sine transform
-(rectangle) in y (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970),
-so the preconditioner costs O(N log N) and O(N) memory.  -J is positive
-definite wherever sinh(2u) >= 0, which is what makes the weakly bounded
-regime (u >= 0) so benign; MINRES also handles the symmetric indefinite -J of
-charts with u < 0 somewhere.  MINRES is written here (_minres) with every
+(rectangle) in y (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970).
+The sine transform is a product with the orthonormal DST-I matrix, cached
+per size, so the preconditioner costs O(mx^2 my) on an mx x my interior,
+whatever mx + 1 factors into.  -J is positive definite wherever
+sinh(2u) >= 0, which is what makes the weakly bounded regime (u >= 0) so
+benign; MINRES also handles the symmetric indefinite -J of charts with u < 0
+somewhere.  MINRES is written here (_minres) with every
 inner product a numpy pairwise sum, never a BLAS call, so a solve gives the
 same bits whatever the BLAS thread count.
 
@@ -26,9 +28,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import NewtonDiverged, SingularJacobian
 from .fields import GridSpec, ScalarField, laplacian
@@ -146,6 +148,19 @@ def _poisson_eigs(spec: GridSpec) -> np.ndarray:
             + (4.0 / spec.hy**2) * np.sin(np.pi * ky) ** 2)
 
 
+@lru_cache(maxsize=8)
+def _dst_matrix(m: int) -> np.ndarray:
+    """The orthonormal DST-I matrix of size m, read-only:
+    S[k, n] = sqrt(2/(m+1)) sin(pi (k+1)(n+1) / (m+1)).  S is symmetric and
+    its own inverse.  (k+1)(n+1) is reduced mod 2(m+1) in integers first,
+    so every sine is taken of an angle in [0, 2 pi)."""
+    k = np.arange(1, m + 1)
+    phase = np.outer(k, k) % (2 * (m + 1))
+    s = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * phase / (m + 1))
+    s.setflags(write=False)
+    return s
+
+
 def _poisson_solve(spec: GridSpec, rhs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """(-L_h + s I)^-1 rhs on the interior nodes, given the eigenvalues
     lam = _poisson_eigs(spec) + s of that operator, for a shift s >= 0.
@@ -154,13 +169,14 @@ def _poisson_solve(spec: GridSpec, rhs: np.ndarray, lam: np.ndarray) -> np.ndarr
     diagonalised by the real FFT on a cylinder and by DST-I on a rectangle.
     """
     mx, my = _interior_shape(spec)
+    sx = _dst_matrix(mx)
     r = rhs.reshape(mx, my)
     if spec.periodic_y:
-        r = sfft.rfft(sfft.dst(r, type=1, axis=0, norm="ortho"), axis=1) / lam
-        out = sfft.idst(sfft.irfft(r, n=my, axis=1), type=1, axis=0, norm="ortho")
+        r = np.fft.rfft(sx @ r, axis=1) / lam
+        out = sx @ np.fft.irfft(r, n=my, axis=1)
     else:
-        out = sfft.idstn(sfft.dstn(r, type=1, norm="ortho") / lam, type=1,
-                         norm="ortho")
+        sy = _dst_matrix(my)
+        out = sx @ ((sx @ r @ sy) / lam) @ sy
     return out.ravel()
 
 

@@ -21,11 +21,11 @@ differences in t (immersion_fd_rate).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import NotOnZ
 from .fields import OperatorField, ScalarField, diff1, diff2
-from .geometry import SurfaceData, christoffel, embedding_data, third_form
+from .geometry import (SurfaceData, christoffel, embedding_data,
+                       principal_curvatures, third_form)
 from .immersion import ImmersionGrid, forms_from_immersion, normal_flow
 
 __all__ = [
@@ -107,8 +107,9 @@ def curvature_rate_at_Z(
 ) -> tuple[float, float]:
     """Rates of the principal curvatures at a zero-locus node.
 
-    At u = 0 the shape operator is diag(1, -1) with I-unit eigenframe e+, e-;
-    the eigenvalue rates are the diagonal Hessian entries
+    At u = 0 the shape operator is diag(1, -1) with I-unit eigenframe e+, e-
+    (principal_curvatures' frame with I as the metric); the eigenvalue rates
+    are the diagonal Hessian entries
     (d lambda_+/dt, d lambda_-/dt) = (Hess f(e+, e+), Hess f(e-, e-)).
     Raises NotOnZ when |u(node)| > tol_z.
     """
@@ -116,9 +117,9 @@ def curvature_rate_at_Z(
     uval = float(s.u.values[i, j])
     if abs(uval) > tol_z:
         raise NotOnZ(f"u[{i},{j}] = {uval:.3e} exceeds tol_z = {tol_z:.1e}")
-    I, II, _ = embedding_data(s)
-    # II v = lambda I v at the node: eigenvalues of B ascending, columns I-unit
-    em, ep = eigh(II.mat[i, j], I.mat[i, j])[1].T
+    I, _, B = embedding_data(s)
+    pc = principal_curvatures(B, metric=I)
+    ep, em = pc.e_plus[i, j], pc.e_minus[i, j]
     H = cov_hessian(s, f).mat[i, j]
     return float(ep @ H @ ep), float(em @ H @ em)
 

@@ -90,6 +90,8 @@ class TestSolve:
         assert rc == 0
         rep = load(out)
         assert rep["residual"] <= 1e-10
+        # solve raises on divergence and judges nothing else: no verdict
+        assert "passed" not in rep
         from minsurf.fields import ScalarField
         u = ScalarField.from_csv(csv)
         assert u.spec.nx == 33 and u.spec.ny == 32
@@ -540,6 +542,30 @@ def test_program_leaves_gc_off_and_the_heap_frozen(tmp_path):
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
         timeout=120)
     assert proc.stdout.split() == ["0", "False", "True"], proc.stderr
+
+
+# every subcommand that computes, in one fresh interpreter; scipy is a
+# test-only dependency (the CI workflow also runs this test on its own)
+NO_SCIPY = """
+import os, sys
+from minsurf.cli import main
+for argv in (["verify"],
+             ["solve", "--width", "0.8", "--nx", "33", "--ny", "32"],
+             ["flow", "--nx", "33", "--ny", "32", "--t", "1e-3"],
+             ["zlocus"], ["deform"], ["demo", "--fine", "32"]):
+    out = os.path.join(sys.argv[1], argv[0] + ".json")
+    assert main([*argv, "--out", out]) == 0, argv
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not scipy, scipy
+"""
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestDemo:

@@ -136,6 +136,38 @@ class TestDetectZ:
             hit.append(k)
         assert sorted(hit) == list(range(len(expected)))
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_labels_match_csgraph(self, data):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+        nx = data.draw(st.integers(3, 16))
+        ny = data.draw(st.integers(3, 16))
+        periodic = data.draw(st.booleans())
+        mask = data.draw(arrays(bool, (nx, ny)))
+        assume(mask.any())
+        flat = np.flatnonzero(mask)
+        pos = {int(k): n for n, k in enumerate(flat)}
+        rows, cols = [], []
+        for k in flat:
+            i, j = divmod(int(k), ny)
+            for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
+                p, q = i + di, j + dj
+                if periodic:
+                    q %= ny
+                if p < nx and 0 <= q < ny and mask[p, q]:
+                    rows.append(pos[int(k)])
+                    cols.append(pos[p * ny + q])
+        graph = coo_matrix((np.ones(len(rows)), (rows, cols)),
+                           shape=(flat.size,) * 2)
+        count, labels = connected_components(graph, directed=False)
+        got = deform._components(mask, periodic)
+        assert len(got) == count
+        for k, nodes in enumerate(got):
+            members = np.flatnonzero(labels == k)
+            assert nodes.tolist() == np.column_stack(
+                np.divmod(flat[members], ny)).tolist()
+
     def test_invariant_chart_axis_curve(self, chart64):
         comps = deform.detect_z(chart64)
         assert len(comps) == 1

@@ -15,6 +15,7 @@ from minsurf import invariant_ode as iode
 from minsurf import pde
 from minsurf.geometry import SurfaceData, embedding_data
 from minsurf.errors import ConstraintDrift, DegenerateTangents, SingularMetric
+from minsurf.kernels import spline_slopes
 
 
 def geodesic_plane_grid(nx=17, ny=13):
@@ -93,7 +94,8 @@ class TestCoeffTables:
         if spec.periodic_y:
             yk = spec.origin[1] + spec.hy * np.arange(-3, spec.ny + 3)
             u = np.concatenate([u[:, -3:], u, u[:, :3]], axis=1)
-        sp = RectBivariateSpline(spec.xs, yk, u)
+        sp = RectBivariateSpline(spec.xs, yk, u, kx=min(3, spec.nx - 1),
+                                 ky=min(3, yk.size - 1))
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         if spec.periodic_y:
             Y = spec.origin[1] + np.mod(Y - spec.origin[1], spec.period_y)
@@ -110,18 +112,54 @@ class TestCoeffTables:
             assert got.shape == (xs.size, ys.size)
             assert np.max(np.abs(got - want)) <= 1e-13
 
+    @settings(max_examples=60, deadline=None)
+    @given(nx=st.integers(3, 9), ny=st.integers(3, 9),
+           periodic=st.booleans(), data=st.data())
+    def test_matches_fitpack_on_small_grids(self, nx, ny, periodic, data):
+        # 3-node axes fit a parabola; periodic charts fit over wrap columns
+        spec = GridSpec(nx=nx, ny=ny, hx=0.7 / (nx - 1), hy=0.4 / ny,
+                        origin=(-0.3, 0.1), periodic_y=periodic)
+        u = data.draw(arrays(float, (nx, ny),
+                             elements=st.floats(-1.0, 1.0)))
+        s = SurfaceData(ScalarField(spec, u))
+        top = spec.ys[-1] if periodic else spec.ys[-1] - 1e-9
+        xs = np.sort(data.draw(arrays(float, 5, elements=st.floats(
+            spec.xs[0], spec.xs[-1]))))
+        ys = np.sort(data.draw(arrays(float, 4, elements=st.floats(
+            spec.ys[0], top))))
+        (table,) = imm._coeff_tables(s, (xs, ys))
+        for got, want in zip(table, self.pointwise(s, xs, ys)):
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_two_node_axis_is_linear_as_in_fitpack(self):
+        # GridSpec needs 3 nodes; the patch itself takes 2 (FITPACK: kx = 1)
+        kx, ky = np.array([0.0, 0.5]), np.array([0.0, 0.2, 0.5, 0.6])
+        u = np.array([[0.3, -0.1, 0.8, 0.2], [1.0, 0.4, -0.5, 0.1]])
+        fs = np.concatenate([u, spline_slopes(ky, u.T).T], axis=1)
+        gx, gy = np.linspace(0.0, 0.5, 7), np.linspace(0.0, 0.6, 5)
+        got = imm._patch(kx, ky, fs, spline_slopes(kx, fs), gx, gy)
+        sp = RectBivariateSpline(kx, ky, u, kx=1, ky=3)
+        # FITPACK differentiates only below the degree: the x-slope of the
+        # linear axis is the difference quotient of its two ends
+        want = (sp(gx, gy), np.broadcast_to(
+            (sp(kx[1:], gy) - sp(kx[:1], gy)) / 0.5, got[1].shape),
+            sp(gx, gy, dy=1))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-13
+
     @pytest.mark.parametrize("order", ["rows_then_columns",
                                        "columns_then_rows"])
     def test_spline_evaluations_do_not_grow_with_the_grid(
             self, sol0, order, monkeypatch):
         calls = []
-        real = RectBivariateSpline.__call__
+        real = imm.hermite
 
-        def counted(self, *args, **kwargs):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return real(self, *args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(RectBivariateSpline, "__call__", counted)
+        monkeypatch.setattr(imm, "hermite", counted)
         counts = []
         for n in (16, 64):
             s = periodic_chart(sol0, n)

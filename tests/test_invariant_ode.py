@@ -121,6 +121,80 @@ class TestBlowUp:
         assert grown < 50_000
 
 
+def scipy_dopri5(v0, x_max, rtol=1e-10):
+    """(return code, accepted (x, g, g') rows) from scipy's compiled DOPRI5
+    with integrate's tolerances, step cap and guard."""
+    import warnings
+    from scipy.integrate import ode
+
+    rows = []
+
+    def accept(x, y):
+        rows.append((x, y[0], y[1]))
+        return -1 if y[0] > iode._GUARD_G else 0
+
+    r = ode(lambda x, y: [y[1], 2.0 * np.cosh(2.0 * y[0])])
+    r.set_integrator("dopri5", rtol=rtol, atol=rtol * 1e-2,
+                     nsteps=iode._MAX_STEPS)
+    r.set_solout(accept)
+    r.set_initial_value([v0, 0.0], 0.0)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        r.integrate(x_max)
+    code = r.get_return_code()
+    r.set_solout(None)
+    return code, np.array(rows)
+
+
+class TestAgainstScipy:
+    """The port against scipy's compiled DOPRI5.  That build fuses
+    multiplies and adds, so step sizes agree to about 1e-8 relative, not
+    bitwise, and the samples sit at slightly different abscissae: they are
+    compared through the dense output.  Blow-ups take 1024-1033 steps and
+    may differ by one or two."""
+
+    @pytest.mark.parametrize("v0", [0.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("frac", [0.9, 0.99])
+    def test_same_steps_and_samples(self, v0, frac):
+        x_max = frac * iode.estimate_delta(v0)
+        code, ref = scipy_dopri5(v0, x_max)
+        sol = iode.integrate(v0, x_max, estimate_width=False)
+        assert code == 1 and sol.xs.size == len(ref)
+        x, g, gp = ref.T
+        assert np.max(np.abs(sol.g_at(x) - g)) <= 1e-12 * np.max(g)
+        assert np.max(np.abs(sol.gp_at(x) - gp)) <= 1e-11 * np.max(gp)
+
+    @pytest.mark.parametrize("v0", [0.0, 0.25, 0.5, 1.0])
+    def test_blows_up_at_the_same_abscissa(self, v0):
+        code, ref = scipy_dopri5(v0, 2.0)
+        with pytest.raises(BlowUp) as exc:
+            iode.integrate(v0, 2.0, estimate_width=False)
+        assert code == -3
+        assert exc.value.x_reached == pytest.approx(ref[-1, 0], abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(v0=st.floats(0.0, 3.0))
+    def test_delta_matches_quadpack(self, v0):
+        from scipy.integrate import quad
+        s2v0 = np.sinh(2.0 * v0)
+
+        def inner(s):
+            if s == 0.0:
+                return 1.0 / np.sqrt(np.cosh(2.0 * v0))
+            d = np.sinh(2.0 * (v0 + s * s)) - s2v0
+            return 2.0 * s / np.sqrt(2.0 * d)
+
+        def tail(g):
+            return 1.0 / np.sqrt(2.0 * (np.sinh(2.0 * g) - s2v0))
+
+        with np.errstate(over="ignore"):
+            ref = (quad(inner, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12,
+                        limit=200)[0]
+                   + quad(tail, v0 + 1.0, np.inf, epsabs=1e-12, epsrel=1e-12,
+                          limit=200)[0])
+        assert iode.estimate_delta(v0) == pytest.approx(ref, rel=1e-13)
+
+
 class TestIntegratorFailure:
     def test_step_cap_is_a_typed_failure(self, monkeypatch):
         monkeypatch.setattr(iode, "_MAX_STEPS", 5)

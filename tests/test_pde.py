@@ -245,6 +245,21 @@ class TestApplyLaplacian:
         assert np.allclose(got.reshape(v.shape), ref, rtol=1e-14, atol=0.0)
 
 
+class TestDstMatrix:
+    # 537 = 3 * 179 and 1021 (prime) are the lengths scipy's FFT-based
+    # DST-I handles slowest
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 127, 537, 1021])
+    def test_matches_scipy_dst(self, m):
+        from scipy.fft import dst
+        s = pde._dst_matrix(m)
+        x = np.random.default_rng(m).standard_normal((m, 3))
+        ref = dst(x, type=1, axis=0, norm="ortho")
+        assert np.max(np.abs(s @ x - ref)) <= 1e-14 * np.sqrt(m) * np.max(
+            np.abs(ref))
+        assert np.array_equal(s, s.T) and not s.flags.writeable
+        assert np.max(np.abs(s @ s - np.eye(m))) <= 1e-13
+
+
 class TestPoissonSolve:
     # inverts the stencil that pde.solve applies
     @pytest.mark.parametrize("periodic", [True, False])
