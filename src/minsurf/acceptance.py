@@ -5,11 +5,12 @@ invariant ODE profiles, the nonlinear Dirichlet solver against its ODE
 oracle, frame integration and round-trip recovery of the fundamental forms,
 the variation formulas against flowed-immersion differences, and the
 curvature-opening constructions with their certificates.  Each criterion is
-a zero-argument function returning a CriterionResult; run_all executes the
-registry in order and keeps going past failures, so `minsurf verify` and
-``pytest tests/test_acceptance.py`` consume the same implementation and
-cannot drift apart.  LANES splits the registry in two by the cached inputs
-the criteria share; `minsurf verify` runs the lanes in parallel processes.
+a zero-argument function returning (passed, details); run_all executes the
+registry in order, times each criterion into a CriterionResult and keeps
+going past failures, so `minsurf verify` and ``pytest
+tests/test_acceptance.py`` consume the same implementation and cannot drift
+apart.  LANES splits the registry in two by the cached inputs the criteria
+share; `minsurf verify` runs the lanes in parallel processes.
 
 Configurations are pinned: grid sizes keep the whole suite under a minute
 while every tolerance retains roughly a 3x margin over the measured value.
@@ -91,22 +92,6 @@ class CriterionResult:
         }
 
 
-def _timed(fn):
-    def wrapper() -> CriterionResult:
-        t0 = time.perf_counter()
-        passed, details = fn()
-        return CriterionResult(
-            name=fn.__name__.replace("_", "-").lstrip("-"),
-            passed=passed,
-            details=details,
-            elapsed_s=time.perf_counter() - t0,
-        )
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
 # cached building blocks
 
@@ -133,6 +118,13 @@ def _bump(n: int) -> ScalarField:
 @lru_cache(maxsize=None)
 def _immersed(n: int):
     return immerse(_chart(n))
+
+
+def _curvatures(n: int, t: float):
+    """Principal curvatures of _chart(n) flowed by t * _bump(n).  Not
+    cached: each result holds its shape operator."""
+    _, _, B = forms_from_immersion(normal_flow(_immersed(n), _bump(n), t))
+    return principal_curvatures(B)
 
 
 def _graph_samples():
@@ -184,7 +176,6 @@ def _smooth_random_pair(rng, spec: GridSpec):
 # criteria
 
 
-@_timed
 def _01_ode_first_integral():
     """g'^2 - 2 sinh 2g + 2 sinh 2v0 stays below 1e-8 on [0, 0.9 delta]."""
     t0 = time.perf_counter()
@@ -203,7 +194,6 @@ def _01_ode_first_integral():
     }
 
 
-@_timed
 def _02_blowup_width_cross_check():
     """Blow-up abscissa agrees with the separated-variable quadrature."""
     details = {}
@@ -211,7 +201,7 @@ def _02_blowup_width_cross_check():
     for v0 in (0.0, 0.25, 0.5):
         dq = estimate_delta(v0)
         try:
-            integrate(v0, dq + 0.1, estimate_width=False)
+            integrate(v0, dq + 0.1)
             raise AssertionError("profile failed to blow up past delta")
         except BlowUp as e:
             gap = abs(e.x_reached - dq)
@@ -221,7 +211,6 @@ def _02_blowup_width_cross_check():
     return worst <= 1e-6, details
 
 
-@_timed
 def _03_pde_vs_ode_convergence():
     """Dirichlet solve converges at order 2 to the invariant profile."""
     sol = _profile(0.0)
@@ -247,7 +236,6 @@ def _03_pde_vs_ode_convergence():
     }
 
 
-@_timed
 def _04_immersion_round_trip():
     """Frame integration + FD recovery returns (I, II, B) at order 2."""
     errs = {}
@@ -272,7 +260,6 @@ def _04_immersion_round_trip():
     }
 
 
-@_timed
 def _05_shape_rate_vs_immersion():
     """dB/dt formula matches the flowed-immersion difference on the plateau.
 
@@ -304,7 +291,6 @@ def _05_shape_rate_vs_immersion():
     }
 
 
-@_timed
 def _06_rate_product_rule():
     """dB/dt = d(I^-1)/dt II + I^-1 dII/dt holds to rounding on random data."""
     spec = GridSpec(nx=65, ny=64, hx=1.0 / 64, hy=1.0 / 64,
@@ -326,7 +312,6 @@ def _06_rate_product_rule():
     }
 
 
-@_timed
 def _07_curvature_rates_at_zero_locus():
     """Principal curvature rates at the bump center are -1 and +1.
 
@@ -334,16 +319,12 @@ def _07_curvature_rates_at_zero_locus():
     central t-difference of the eigenvalues measured on flowed immersions.
     """
     n = 128
-    s = _chart(n)
-    f = _bump(n)
     node = (n // 2, n // 2)  # chart point (0, 0.5), on the zero locus
-    rate_p, rate_m = variation.curvature_rate_at_Z(s, f, node)
+    rate_p, rate_m = variation.curvature_rate_at_Z(_chart(n), _bump(n), node)
 
-    g = _immersed(n)
     lam = {}
     for sgn in (+1.0, -1.0):
-        _, _, B = forms_from_immersion(normal_flow(g, f, sgn * _FLOW_T))
-        pc = principal_curvatures(B)
+        pc = _curvatures(n, sgn * _FLOW_T)
         lam[sgn] = (float(pc.lambda_plus.values[node]),
                     float(pc.lambda_minus.values[node]))
     slope_p = (lam[1.0][0] - lam[-1.0][0]) / (2 * _FLOW_T)
@@ -360,7 +341,6 @@ def _07_curvature_rates_at_zero_locus():
     }
 
 
-@_timed
 def _08_hessian_interpolant_certificate():
     """build_G certificate: exact left slab, constant right gap, on-curve
     Hessian diag(-1, 1) to 10 h^2."""
@@ -385,7 +365,6 @@ def _08_hessian_interpolant_certificate():
     }
 
 
-@_timed
 def _09_moment_conditions():
     """Moment residuals below 1e-10; straight-line input is rejected."""
     xs, hs = _graph_samples()
@@ -404,7 +383,6 @@ def _09_moment_conditions():
     }
 
 
-@_timed
 def _10_translation_field():
     """Translation-case field: exact periodicity, seam smoothness, and
     on-curve Hessian diag(-1, 1) to 10 h^2 across all three branches."""
@@ -461,7 +439,6 @@ def _10_translation_field():
     }
 
 
-@_timed
 def _11_flow_opens_curvatures():
     """max lambda+ over the bump plateau stays strictly below 1 for every
     flow time in [1e-4, 1e-2].
@@ -469,14 +446,10 @@ def _11_flow_opens_curvatures():
     Only lambda+ on the plateau is checked: lambda- and the nodes outside
     the plateau (the bump's transition ring) are not."""
     n = 128
-    s = _chart(n)
-    f = _bump(n)
-    g = _immersed(n)
-    mask = deform.plateau_mask(s.spec, _BUMP_CENTER, _BUMP_R)
+    mask = deform.plateau_mask(_chart(n).spec, _BUMP_CENTER, _BUMP_R)
     maxima = {}
     for t in _SWEEP:
-        _, _, B = forms_from_immersion(normal_flow(g, f, t))
-        pc = principal_curvatures(B)
+        pc = _curvatures(n, t)
         maxima[t] = float(np.max(pc.lambda_plus.values[mask]))
     ok = all(v < 1.0 for v in maxima.values())
     details = {f"max_lambda_plus_t_{t:g}": v for t, v in maxima.items()}
@@ -484,7 +457,7 @@ def _11_flow_opens_curvatures():
     return ok, details
 
 
-REGISTRY: tuple[tuple[str, Callable[[], CriterionResult]], ...] = (
+REGISTRY: tuple[tuple[str, Callable[[], tuple[bool, dict]]], ...] = (
     ("01-ode-first-integral", _01_ode_first_integral),
     ("02-blowup-width-cross-check", _02_blowup_width_cross_check),
     ("03-pde-vs-ode-convergence", _03_pde_vs_ode_convergence),
@@ -500,14 +473,14 @@ REGISTRY: tuple[tuple[str, Callable[[], CriterionResult]], ...] = (
 
 
 def run_all(names: "list[str] | None" = None) -> list[CriterionResult]:
-    """Run the registered criteria (all by default, in order)."""
+    """Run the registered criteria (all by default, in order), timing each."""
     wanted = None if names is None else set(names)
     out = []
     for name, fn in REGISTRY:
         if wanted is not None and name not in wanted:
             continue
-        res = fn()
-        out.append(CriterionResult(name=name, passed=res.passed,
-                                   details=res.details,
-                                   elapsed_s=res.elapsed_s))
+        t0 = time.perf_counter()
+        passed, details = fn()
+        out.append(CriterionResult(name=name, passed=passed, details=details,
+                                   elapsed_s=time.perf_counter() - t0))
     return out

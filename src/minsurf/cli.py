@@ -102,12 +102,21 @@ def _emit(report: dict, path: "str | None") -> None:
 
 def _invariant_surface(v0: float, width: float, nx: int, ny: int,
                        period: float):
+    import numpy as np
+
+    from .errors import DomainExceedsDelta
     from .fields import GridSpec
     from .invariant_ode import estimate_delta, integrate, to_surface
 
-    sol = integrate(v0, 0.95 * estimate_delta(v0), rtol=1e-10)
+    delta = estimate_delta(v0)
     spec = GridSpec(nx=nx, ny=ny, hx=width / (nx - 1), hy=period / ny,
                     origin=(-width / 2.0, 0.0), periodic_y=True)
+    # a strip past delta is refused before the profile could blow up on it
+    reach = float(np.abs(spec.xs).max())
+    if reach >= delta:
+        raise DomainExceedsDelta(
+            f"grid reaches |x| = {reach:.6g} >= delta = {delta:.6g}")
+    sol = integrate(v0, max(0.95 * delta, reach), rtol=1e-10)
     return to_surface(sol, spec)
 
 
@@ -196,18 +205,20 @@ def cmd_ode(args) -> int:
 
 def cmd_solve(args) -> int:
     from .invariant_ode import estimate_delta, integrate
-    from .pde import NewtonParams, invariant_strip_problem, residual, solve
+    from .pde import invariant_strip_problem, residual, solve
 
     delta = estimate_delta(args.v0)
     if args.width / 2.0 >= delta:
         raise ValueError(
             f"width/2 = {args.width / 2:.6g} reaches the maximal half-width "
             f"delta({args.v0:g}) = {delta:.6g}; no solution exists")
-    sol = integrate(args.v0, min(0.95 * delta, 0.55 * args.width * 1.2 + 0.2),
-                    rtol=1e-10)
+    # the profile must reach the strip's edge, width/2
+    x_end = max(min(0.95 * delta, 0.55 * args.width * 1.2 + 0.2),
+                args.width / 2.0)
+    sol = integrate(args.v0, x_end, rtol=1e-10)
     prob = invariant_strip_problem(
         sol, args.width, nx=args.nx, ny=args.ny, period_y=args.period,
-        newton=NewtonParams(tol_residual=args.tol))
+        tol_residual=args.tol)
     s = solve(prob)
     if args.csv:
         s.u.to_csv(args.csv)
@@ -555,26 +566,13 @@ def cmd_verify(args) -> int:
 def cmd_demo(args) -> int:
     """Flow the invariant chart by a curvature-opening bump and watch the
     top principal curvature leave 1 at unit rate."""
-    from .acceptance import (
-        _BUMP_CENTER,
-        _BUMP_R,
-        _SWEEP,
-        _bump,
-        _chart,
-        _immersed,
-    )
+    from .acceptance import _BUMP_CENTER, _BUMP_R, _SWEEP, _chart, _curvatures
     from .deform import plateau_mask
-    from .geometry import principal_curvatures
-    from .immersion import forms_from_immersion, normal_flow
 
     fine = args.fine
     if fine % 2 or fine < 32:
         raise ValueError("--fine must be an even integer >= 32")
     center, r = _BUMP_CENTER, _BUMP_R
-
-    def curvatures(n, t):
-        _, _, B = forms_from_immersion(normal_flow(_immersed(n), _bump(n), t))
-        return principal_curvatures(B)
 
     # sweep on the fine grid: the bump plateau keeps lambda+ below 1
     spec = _chart(fine).spec
@@ -584,7 +582,7 @@ def cmd_demo(args) -> int:
     node_c = (fine // 4, fine // 4)
     sweep = {}
     for t in _SWEEP:
-        pc = curvatures(fine, t)
+        pc = _curvatures(fine, t)
         lam = pc.lambda_plus.values
         sweep[t] = {
             "plateau_max": float(lam[plateau].max()),
@@ -599,14 +597,14 @@ def cmd_demo(args) -> int:
     # h, h/2
     t_ref = 1e-3
     lam_f = sweep[t_ref]["center"]
-    lam_c = curvatures(fine // 2, t_ref).lambda_plus.values[node_c]
+    lam_c = _curvatures(fine // 2, t_ref).lambda_plus.values[node_c]
     center_extrap = float((4.0 * lam_f - lam_c) / 3.0)
     center_err = abs(center_extrap - (1.0 - t_ref))
     center_ok = center_err <= 1e-5
 
     # measured slope of lambda+ in t at the center, and the sign flip for
     # t < 0 (the deformation direction matters)
-    lam_neg = float(curvatures(fine, -t_ref).lambda_plus.values[node_f])
+    lam_neg = float(_curvatures(fine, -t_ref).lambda_plus.values[node_f])
     slope = float((lam_f - lam_neg) / (2 * t_ref))
     slope_ok = abs(slope + 1.0) <= 1e-2
     neg_ok = lam_neg > 1.0

@@ -76,6 +76,12 @@ TOL_Z_DEFAULT = 1e-8
 _DET_REL_TOL = 1e-8  # moment-system degeneracy threshold, relative to row norms
 _CLOSED_TOL = 1e-10  # antiderivative/integrand consistency gate in build_G
 _EQUIV_TOL = 1e-12  # developing-curve equivariance check
+_EQUIV_NPROBE = 64  # parameters per period at which equivariance is checked
+# the translation case's graph window: derivative probes per period, the
+# largest |h'| allowed in it, and the graph samples taken across it
+_WINDOW_NPROBE = 2048
+_SLOPE_CAP = 5.0
+_GRAPH_SAMPLES = 4097
 # dense grid for xi primitives; the consistency gate integrates xi', whose
 # quadrature error carries |xi^(5)| ~ 1e10 for the narrowest bump placement,
 # so the step must be ~1e-5 to keep the honest floor well under 1e-10
@@ -365,23 +371,18 @@ class GenericityVerdict:
     def __bool__(self) -> bool:
         return self.passed
 
-    @property
-    def reason(self) -> str | None:
-        return None if self.passed else "NonGenericCurve"
 
-
-def genericity_check(c: ZComponent, tol_line: float | None = None) -> GenericityVerdict:
-    """Pass iff the curve deviates from every straight line by more than tol.
+def genericity_check(c: ZComponent) -> GenericityVerdict:
+    """Pass iff the curve deviates from every straight line by more than
+    10 h^2, the accuracy of the detected polyline itself.
 
     Straight curve components admit no translation-corrected field (the
     moment system below is singular for them), so they are flagged rather
-    than silently mishandled.  Default tolerance 10 h^2 matches the accuracy
-    of the detected polyline itself.
+    than silently mishandled.
     """
     if c.kind != "Curve":
         raise ValueError("genericity applies to curve components")
-    if tol_line is None:
-        tol_line = 10.0 * max(c.spec.hx, c.spec.hy) ** 2
+    tol_line = 10.0 * max(c.spec.hx, c.spec.hy) ** 2
     dev = float(c.line_deviation)
     return GenericityVerdict(passed=dev > tol_line, line_deviation=dev,
                              tol_line=tol_line)
@@ -467,9 +468,9 @@ class CurveTube:
         z = np.asarray(self.curve(t), dtype=float)
         return z + s[..., None] * self.normal(t)
 
-    def equivariance_residual(self, nprobe: int = 64) -> float:
+    def equivariance_residual(self) -> float:
         """Max |curve(t+L) - rho(curve(t))| over a probe set."""
-        ts = np.linspace(0.0, self.period, nprobe, endpoint=False)
+        ts = np.linspace(0.0, self.period, _EQUIV_NPROBE, endpoint=False)
         a = np.asarray(self.curve(ts + self.period), dtype=float)
         b = np.asarray(self.curve(ts), dtype=float)
         if self.holonomy == "trivial":
@@ -769,8 +770,8 @@ def _fd4_second(fun, pts, h, axis):
     ) / (12 * h * h)
 
 
-def build_G(h_samples: tuple, xi: "XiResult | XiFunction",
-            domain: GridSpec, curve_probe_step: float | None = None) -> GField:
+def build_G(h_samples: tuple, xi: XiResult, domain: GridSpec,
+            curve_probe_step: float | None = None) -> GField:
     """Integrate the prescribed Hessian field twice and certify the result.
 
     Raises ClosednessViolation when the carried antiderivatives disagree
@@ -784,7 +785,7 @@ def build_G(h_samples: tuple, xi: "XiResult | XiFunction",
     data) need a finer step to stay inside the 10 h^2 envelope.
     """
     xs, hs = (np.asarray(a, dtype=float) for a in h_samples)
-    func = xi.func if isinstance(xi, XiResult) else xi
+    func = xi.func
     x_lo, x_hi = func.support
     delta_c = x_hi - x_lo
     hp_s = spline_slopes(xs, hs)
@@ -844,9 +845,9 @@ def build_G(h_samples: tuple, xi: "XiResult | XiFunction",
     cert["left_slab_residual"] = (
         float(np.max(np.abs(vals[left] - psi0[left]))) if left.any() else 0.0)
 
-    x0t, y0t = (xi.targets if isinstance(xi, XiResult) else (np.nan, np.nan))
+    x0t, y0t = xi.targets
     right = X >= x_hi
-    if right.any() and isinstance(xi, XiResult):
+    if right.any():
         shift = _saddle(X[right] - x0t, Y[right] - y0t)
         diff = vals[right] - shift
         Cval = float(np.mean(diff))
@@ -857,8 +858,7 @@ def build_G(h_samples: tuple, xi: "XiResult | XiFunction",
         cert["right_slab_constancy"] = 0.0
         cert["constant"] = 0.0
     # the by-parts identity int h xi' = -int h' xi = -x0 pins W(delta)
-    cert["byparts_residual"] = (
-        abs(W_hi + x0t) if isinstance(xi, XiResult) else np.nan)
+    cert["byparts_residual"] = abs(W_hi + x0t)
 
     # on-curve Hessian probe with 4th-order stencils: the O(h^2) term of a
     # centered stencil carries the large xi'' constants (it would sit near
@@ -881,21 +881,20 @@ def build_G(h_samples: tuple, xi: "XiResult | XiFunction",
 # translation case
 
 
-def _graph_window(tube: CurveTube, nprobe: int = 2048,
-                  slope_cap: float = 5.0) -> tuple[float, float, int]:
+def _graph_window(tube: CurveTube) -> tuple[float, float, int]:
     """Largest parameter window on which the curve is a graph over x.
 
     Returns (a, b, orientation) with orientation +1 if x increases along the
     window and -1 if the curve must be flipped (z -> -z, also flipping the
-    holonomy) to make it increase.  |h'| <= slope_cap keeps the moment
+    holonomy) to make it increase.  |h'| <= _SLOPE_CAP keeps the moment
     system scaled.
     """
-    ts = np.linspace(0.0, tube.period, nprobe + 1)
+    ts = np.linspace(0.0, tube.period, _WINDOW_NPROBE + 1)
     d = np.asarray(tube.curve_deriv(ts), dtype=float)
     best = (0, None, None)
     for orient in (1, -1):
         xp = orient * d[:, 0]
-        ok = (xp > 0) & (np.abs(d[:, 1]) <= slope_cap * xp)
+        ok = (xp > 0) & (np.abs(d[:, 1]) <= _SLOPE_CAP * xp)
         # longest run of ok
         run = 0
         start = 0
@@ -918,8 +917,8 @@ def _graph_window(tube: CurveTube, nprobe: int = 2048,
     return a + trim, b - trim, orient
 
 
-def build_translation_f(tube: CurveTube, spec: GridSpec, r: float,
-                        n_h: int = 4097) -> TubeField:
+def build_translation_f(tube: CurveTube, spec: GridSpec,
+                        r: float) -> TubeField:
     """Field for a curve whose holonomy is the translation by hol_vector.
 
     Splits one period into three parameter ranges: outside the construction
@@ -948,7 +947,7 @@ def build_translation_f(tube: CurveTube, spec: GridSpec, r: float,
     z_a = curve2(a)
 
     # the curve as a graph (x, h(x)) over the window, origin shifted to z(a)
-    t_h = np.linspace(a, b, n_h)
+    t_h = np.linspace(a, b, _GRAPH_SAMPLES)
     pts = curve2(t_h) - z_a
     if np.any(np.diff(pts[:, 0]) <= 0):
         raise NonGenericCurve("window is not a monotone graph after flip")

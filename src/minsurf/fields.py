@@ -8,11 +8,11 @@ Conventions used everywhere in the package:
     spec.periodic_y, in which case y_j + ny*hy is identified with y_j;
   * derivative helpers return full-grid arrays, second-order accurate in the
     interior (central) and at non-periodic edges (one-sided);
-  * one CSV codec serves every gridded type: a "# " line with the grid as
-    JSON (sorted keys), a line of column names starting x,y, then one row
-    per node, j fastest, at 17 significant digits (float64 round-trips
-    exactly).  The reader checks the names, the row count, and x and y
-    against the header grid to 1e-6 of a grid step.
+  * one CSV codec serves ScalarField and ImmersionGrid: a "# " line with
+    the grid as JSON (sorted keys), a line of column names starting x,y,
+    then one row per node, j fastest, at 17 significant digits (float64
+    round-trips exactly).  The reader checks the names, the row count, and
+    x and y against the header grid to 1e-6 of a grid step.
 """
 
 from __future__ import annotations
@@ -288,16 +288,6 @@ class OperatorField:
         if interior_only:
             a = a[self.spec.interior_mask()]
         return float(np.max(a))
-
-    _CSV_NAMES = ("a11", "a12", "a21", "a22")  # mat[..., i, j] in C order
-
-    def to_csv(self, path) -> None:
-        _write_grid_csv(path, self.spec, self._CSV_NAMES, [self.mat])
-
-    @classmethod
-    def from_csv(cls, path) -> "OperatorField":
-        spec, data = _read_grid_csv(path, cls._CSV_NAMES)
-        return cls(spec, data.reshape(spec.nx, spec.ny, 2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -154,26 +154,26 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 def principal_curvatures(
     B: OperatorField,
     metric: OperatorField | None = None,
-    disc_tol: float = UMBILIC_TOL,
 ) -> PrincipalCurvatures:
     """Eigenvalues of the shape operator field, eigenframe on demand.
 
     Raises ComplexEigenvalues if the discriminant tr^2 - 4 det drops below
-    -disc_tol anywhere; near-umbilic nodes (discriminant below +disc_tol)
-    keep their eigenvalues but are flagged undefined in the frame.
+    -UMBILIC_TOL anywhere; near-umbilic nodes (discriminant below
+    +UMBILIC_TOL) keep their eigenvalues but are flagged undefined in the
+    frame.
     """
     tr = B.trace()
     det = B.det()
     disc = tr * tr - 4.0 * det
     dmin = float(disc.min())
-    if dmin < -disc_tol:
+    if dmin < -UMBILIC_TOL:
         raise ComplexEigenvalues(dmin)
     sq = np.sqrt(np.maximum(disc, 0.0))
     spec = B.spec
     return PrincipalCurvatures(
         lambda_plus=ScalarField(spec, 0.5 * (tr + sq)),
         lambda_minus=ScalarField(spec, 0.5 * (tr - sq)),
-        defined=disc > disc_tol,
+        defined=disc > UMBILIC_TOL,
         B=B,
         metric=metric,
     )

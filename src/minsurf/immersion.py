@@ -56,6 +56,8 @@ __all__ = [
 
 _DRIFT_HARD = 1e-6  # abort threshold during integration
 _DRIFT_POST = 1e-9  # guaranteed after re-projection
+# chart residual, relative to the equation scale, above which immerse warns
+_WARN_RESIDUAL = 1e-2
 
 _ETA = np.array([-1.0, 1.0, 1.0, 1.0])
 
@@ -279,7 +281,6 @@ _E3 = np.array([0.0, 0.0, 0.0, 1.0])
 def immerse(
     s: SurfaceData,
     order: str = "rows_then_columns",
-    warn_residual: float = 1e-2,
 ) -> ImmersionGrid:
     """Integrate the frame system over the grid.
 
@@ -296,10 +297,10 @@ def immerse(
 
     A chart sampled from a genuine solution carries a discrete-laplacian
     residual of pure O(h^2) truncation size, so the compatibility warning
-    only fires above warn_residual = 1e-2 relative to the equation scale,
-    the level no plausible truncation reaches.  The residual ratio, and the
-    largest constraint drift before projection in each sweep, are logged at
-    DEBUG on the "minsurf.immersion" logger.
+    only fires above 1e-2 relative to the equation scale, the level no
+    plausible truncation reaches.  The residual ratio, and the largest
+    constraint drift before projection in each sweep, are logged at DEBUG
+    on the "minsurf.immersion" logger.
     """
     if order not in ("rows_then_columns", "columns_then_rows"):
         raise ValueError(f"unknown sweep order {order!r}")
@@ -308,11 +309,11 @@ def immerse(
     scale = max(1.0, float(np.max(2.0 * np.cosh(2.0 * s.u.values))))
     rel = res.sup(interior_only=True) / scale
     _log.debug("chart residual ratio %.3e", rel)
-    if rel > warn_residual:
+    if rel > _WARN_RESIDUAL:
         import warnings
 
         warnings.warn(
-            f"chart residual {rel:.2e} above {warn_residual:.0e}; "
+            f"chart residual {rel:.2e} above {_WARN_RESIDUAL:.0e}; "
             "immersion error budget not guaranteed",
             RuntimeWarning,
             stacklevel=2,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +102,9 @@ _GK_GAUSS = np.zeros(21)
 _GK_GAUSS[1:10:2] = _GK_WG
 _GK_GAUSS[11:20:2] = _GK_WG[::-1]
 _QUAD_LIMIT = 200  # subintervals
+# absolute tolerances: DOPRI5's, relative to its rtol, and delta's quadrature
+_ATOL_PER_RTOL = 1e-2
+_DELTA_EPSABS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,15 +114,13 @@ class OdeSolution:
     Dense output is cubic Hermite on the accepted steps: for g the slopes are
     the stored g', for g' the slopes are g'' = 2 cosh(2g), so interpolation
     error matches the integrator's local order. g extends evenly, g' oddly.
+    delta_est is delta(v0), computed by quadrature on first read.
     """
 
     v0: float
     xs: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
     gp: np.ndarray = field(repr=False)
-    delta_est: float
-    rtol: float
-    atol: float
 
     def __post_init__(self):
         for name in ("xs", "g", "gp"):
@@ -129,6 +131,10 @@ class OdeSolution:
             gpp = 2.0 * np.cosh(2.0 * self.g)
         gpp.setflags(write=False)
         object.__setattr__(self, "_gpp", gpp)
+
+    @cached_property
+    def delta_est(self) -> float:
+        return estimate_delta(self.v0)
 
     @property
     def x_max(self) -> float:
@@ -285,14 +291,9 @@ def _dopri5(f, x, y0, y1, xend, rtol, atol, guard, nmax):
         h = hnew
 
 
-def integrate(
-    v0: float,
-    x_max: float,
-    rtol: float = 1e-10,
-    atol: float | None = None,
-    estimate_width: bool = True,
-) -> OdeSolution:
-    """Integrate the profile from 0 to x_max with adaptive Dormand-Prince 5(4).
+def integrate(v0: float, x_max: float, rtol: float = 1e-10) -> OdeSolution:
+    """Integrate the profile from 0 to x_max with adaptive Dormand-Prince 5(4)
+    at relative tolerance rtol and absolute tolerance rtol * 1e-2.
 
     Raises BlowUp(x_reached, g_reached) if the profile leaves the
     representable range first; the abscissa it carries approximates delta(v0).
@@ -303,11 +304,9 @@ def integrate(
         raise ValueError(f"v0 must be nonnegative, got {v0}")
     if not x_max > 0:
         raise ValueError(f"x_max must be positive, got {x_max}")
-    if atol is None:
-        atol = rtol * 1e-2
 
-    code, rows = _dopri5(_rhs, 0.0, float(v0), 0.0, float(x_max), rtol, atol,
-                         _GUARD_G, _MAX_STEPS)
+    code, rows = _dopri5(_rhs, 0.0, float(v0), 0.0, float(x_max), rtol,
+                         rtol * _ATOL_PER_RTOL, _GUARD_G, _MAX_STEPS)
     xs, g, gp = np.array(rows).T
     # code 2: the guard stopped it; code -3: step-size underflow against
     # dg/dx ~ e^g.  Both are the blow-up signature
@@ -319,17 +318,7 @@ def integrate(
                           stacklevel=2)
         raise IntegratorFailure(
             f"DOPRI5 failed at x = {xs[-1]:.6g} (return code {code})")
-
-    delta = estimate_delta(v0) if estimate_width else np.inf
-    return OdeSolution(
-        v0=float(v0),
-        xs=xs,
-        g=g,
-        gp=gp,
-        delta_est=float(delta),
-        rtol=float(rtol),
-        atol=float(atol),
-    )
+    return OdeSolution(v0=float(v0), xs=xs, g=g, gp=gp)
 
 
 def _gk21(f, a: np.ndarray, b: np.ndarray):
@@ -376,7 +365,7 @@ def _quad(f, a: float, b: float, epsabs: float, epsrel: float):
     return float(val.sum()), float(err.sum())
 
 
-def estimate_delta(v0: float, epsabs: float = 1e-12) -> float:
+def estimate_delta(v0: float) -> float:
     """Maximal half-width by quadrature of the first integral.
 
     The integrand has an inverse-square-root singularity at g = v0; the
@@ -400,8 +389,8 @@ def estimate_delta(v0: float, epsabs: float = 1e-12) -> float:
         return 1.0 / np.sqrt(2.0 * (np.sinh(2.0 * g) - s2v0)) / (t * t)
 
     with np.errstate(over="ignore"):
-        v1, e1 = _quad(inner, 0.0, 1.0, epsabs, 1e-12)
-        v2, e2 = _quad(tail, 0.0, 1.0, epsabs, 1e-12)
+        v1, e1 = _quad(inner, 0.0, 1.0, _DELTA_EPSABS, 1e-12)
+        v2, e2 = _quad(tail, 0.0, 1.0, _DELTA_EPSABS, 1e-12)
     err = e1 + e2
     if not np.isfinite(v1 + v2) or err > 1e-8:
         raise QuadratureFailure(
@@ -439,22 +428,19 @@ class LengthCheck:
         return self.ok
 
 
-def length_lower_bound_check(sol: OdeSolution, X: float | None = None) -> LengthCheck:
-    """Check integral_0^x e^g dx' > g(x) - v0 at every sample up to X.
+def length_lower_bound_check(sol: OdeSolution) -> LengthCheck:
+    """Check integral_0^x e^g dx' > g(x) - v0 at every accepted sample.
 
     Trapezoid quadrature on the accepted steps; both sides vanish at x = 0,
     where the inequality degenerates to equality, so x = 0 is skipped.
     """
-    if X is None:
-        X = sol.x_max
-    m = sol.xs <= X * (1.0 + 1e-12)
-    xs = sol.xs[m]
+    xs = sol.xs
     if xs.size < 2:
-        raise ValueError("need at least two samples below X")
-    eg = np.exp(sol.g[m])
+        raise ValueError("need at least two samples")
+    eg = np.exp(sol.g)
     length = np.concatenate(
         [[0.0], np.cumsum(np.diff(xs) * (eg[1:] + eg[:-1]) / 2.0)])
-    rhs = sol.g[m] - sol.v0
+    rhs = sol.g - sol.v0
     bad = np.flatnonzero(length[1:] <= rhs[1:]) + 1
     return LengthCheck(
         ok=bad.size == 0,

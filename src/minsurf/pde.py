@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +37,6 @@ from .fields import GridSpec, ScalarField, laplacian
 from .geometry import SurfaceData, gauss_residual
 
 __all__ = [
-    "NewtonParams",
     "PdeProblem",
     "solve",
     "residual",
@@ -45,6 +44,8 @@ __all__ = [
     "invariant_strip_problem",
 ]
 
+# Newton: iteration cap, and the floor of the backtracked damping
+_MAX_ITER = 50
 _DAMPING_FLOOR = 2.0**-10
 # Eisenstat-Walker forcing terms, choice 2 (SIAM J. Sci. Comput. 17, 1996):
 # eta_k = gamma (|F_k| / |F_k-1|)^alpha, safeguarded, within [floor, max].
@@ -61,35 +62,23 @@ _log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class NewtonParams:
-    tol_residual: float = 1e-10
-    max_iter: int = 50
-    damping: float = 1.0
-
-    def __post_init__(self):
-        if not self.tol_residual > 0:
-            raise ValueError("tol_residual must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not (0 < self.damping <= 1.0):
-            raise ValueError("initial damping must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class PdeProblem:
     """Dirichlet problem for Delta u = 2 cosh(2u).
 
     boundary supplies values on every non-periodic edge node (interior
-    entries of the field are ignored).
+    entries of the field are ignored).  solve stops once the sup residual
+    is at most tol_residual.
     """
 
     spec: GridSpec
     boundary: ScalarField
-    newton: NewtonParams = field(default_factory=NewtonParams)
+    tol_residual: float = 1e-10
 
     def __post_init__(self):
         if self.boundary.spec != self.spec:
             raise ValueError("boundary field lives on a different grid")
+        if not self.tol_residual > 0:
+            raise ValueError("tol_residual must be positive")
 
 
 def _interior_shape(spec: GridSpec) -> tuple[int, int]:
@@ -303,9 +292,10 @@ def solve(p: PdeProblem) -> SurfaceData:
     MINRES iterations, forcing term and MINRES info (0 when converged, the
     iteration count when capped).
 
-    Residual is measured in the sup norm over interior nodes.  Backtracking
-    halves the step down to 2^-10 of the nominal damping; failure to reduce
-    the residual there, or running out of iterations, raises NewtonDiverged.
+    Residual is measured in the sup norm over interior nodes.  Each step
+    starts undamped and backtracking halves it down to 2^-10; failure to
+    reduce the residual there, or running out of the 50 iterations, raises
+    NewtonDiverged.
 
     The sup residual cannot be evaluated below the cancellation floor of
     Delta_h v (about eps * |L_h| |v|, above 1e-10 once h^-2 |u| reaches ~5e5,
@@ -327,12 +317,12 @@ def solve(p: PdeProblem) -> SurfaceData:
         with np.errstate(over="ignore"):
             scale = float(np.max(_apply_laplacian(spec, np.abs(vv), absolute=True)
                                  + np.abs(b) + 2.0 * np.cosh(2.0 * vv)))
-        return max(p.newton.tol_residual, 4.0 * np.finfo(float).eps * scale)
+        return max(p.tol_residual, 4.0 * np.finfo(float).eps * scale)
 
     res_vec = F(v)
     res = float(np.max(np.abs(res_vec)))
     eta, norm_prev = _FORCING_MAX, None
-    for it in range(p.newton.max_iter):
+    for it in range(_MAX_ITER):
         if res <= tol_eff(v):
             break
         with np.errstate(over="ignore"):
@@ -354,9 +344,9 @@ def solve(p: PdeProblem) -> SurfaceData:
             lambda x: dg * x - _apply_laplacian(spec, x), res_vec,
             lambda r: _poisson_solve(spec, r, lam_s), eta, _MINRES_MAXITER)
 
-        lam = p.newton.damping
+        lam = 1.0
         accepted = False
-        while lam >= _DAMPING_FLOOR * p.newton.damping:
+        while lam >= _DAMPING_FLOOR:
             v_try = v + lam * step
             res_try_vec = F(v_try)
             res_try = float(np.max(np.abs(res_try_vec)))
@@ -374,7 +364,7 @@ def solve(p: PdeProblem) -> SurfaceData:
                    it + 1, res, lam, its, eta, info)
     else:
         if res > tol_eff(v):
-            raise NewtonDiverged(p.newton.max_iter, res)
+            raise NewtonDiverged(_MAX_ITER, res)
 
     u = _with_interior(p.boundary, v)
     weak = float(u.min()) >= -1e-12
@@ -392,7 +382,7 @@ def invariant_strip_problem(
     nx: int,
     ny: int,
     period_y: float = 1.0,
-    newton: NewtonParams | None = None,
+    tol_residual: float = 1e-10,
 ) -> PdeProblem:
     """Dirichlet problem on a centered periodic strip with data g(|x|).
 
@@ -412,4 +402,4 @@ def invariant_strip_problem(
     vals[0, :] = g_edge[0]
     vals[-1, :] = g_edge[1]
     return PdeProblem(spec=spec, boundary=ScalarField(spec, vals),
-                      newton=newton or NewtonParams())
+                      tol_residual=tol_residual)

@@ -28,6 +28,9 @@ from .geometry import (SurfaceData, christoffel, embedding_data,
                        principal_curvatures, third_form)
 from .immersion import ImmersionGrid, forms_from_immersion, normal_flow
 
+# |u| at a node above which curvature_rate_at_Z refuses it as off the locus
+_TOL_Z = 1e-8
+
 __all__ = [
     "cov_hessian",
     "hessian_11",
@@ -103,7 +106,6 @@ def curvature_rate_at_Z(
     s: SurfaceData,
     f: ScalarField,
     node: tuple[int, int],
-    tol_z: float = 1e-8,
 ) -> tuple[float, float]:
     """Rates of the principal curvatures at a zero-locus node.
 
@@ -111,12 +113,12 @@ def curvature_rate_at_Z(
     (principal_curvatures' frame with I as the metric); the eigenvalue rates
     are the diagonal Hessian entries
     (d lambda_+/dt, d lambda_-/dt) = (Hess f(e+, e+), Hess f(e-, e-)).
-    Raises NotOnZ when |u(node)| > tol_z.
+    Raises NotOnZ when |u(node)| > 1e-8.
     """
     i, j = node
     uval = float(s.u.values[i, j])
-    if abs(uval) > tol_z:
-        raise NotOnZ(f"u[{i},{j}] = {uval:.3e} exceeds tol_z = {tol_z:.1e}")
+    if abs(uval) > _TOL_Z:
+        raise NotOnZ(f"u[{i},{j}] = {uval:.3e} exceeds tol_z = {_TOL_Z:.1e}")
     I, _, B = embedding_data(s)
     pc = principal_curvatures(B, metric=I)
     ep, em = pc.e_plus[i, j], pc.e_minus[i, j]

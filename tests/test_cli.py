@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from minsurf import acceptance, cli
-from minsurf.acceptance import CriterionResult
 from minsurf.errors import NewtonDiverged, SingularMetric, WorkerFailure
 
 
@@ -100,6 +99,14 @@ class TestSolve:
         assert run(["solve", "--width", "3.0",
                     "--out", str(tmp_path / "r.json")]) == 64
 
+    def test_strip_edge_past_095_delta_is_solved(self, tmp_path):
+        # width/2 = 1.25 lies between 0.95 delta(0) = 1.2455 and delta(0) =
+        # 1.3110: the profile is integrated out to the strip's edge
+        out = tmp_path / "r.json"
+        assert run(["solve", "--width", "2.5", "--nx", "65", "--ny", "64",
+                    "--out", str(out)]) == 0
+        assert load(out)["residual"] <= 1e-10
+
     def test_minres_breakdown_exits_2(self, tmp_path, monkeypatch, capsys):
         # an indefinite preconditioner breaks MINRES down: a numerical
         # breakdown, not a bad request
@@ -152,6 +159,17 @@ class TestZlocus:
         comp = rep["components"][0]
         assert comp["kind"] == "Curve" and comp["closed"]
         assert comp["generic"] is False
+
+    def test_built_chart_edge_past_095_delta(self, tmp_path):
+        # the built invariant chart reaches |x| = 1.25 > 0.95 delta(0)
+        out = tmp_path / "z.json"
+        assert run(["zlocus", "--width", "2.5", "--out", str(out)]) == 0
+        rep = load(out)
+        assert rep["count"] == 1 and rep["components"][0]["kind"] == "Curve"
+
+    def test_built_chart_past_delta_is_usage_error(self, capsys):
+        assert run(["zlocus", "--width", "2.7"]) == 64
+        assert "DomainExceedsDelta" in capsys.readouterr().err
 
     def test_strict_tolerance_sees_nothing(self, solved_csv, tmp_path):
         out = tmp_path / "z.json"
@@ -339,9 +357,7 @@ def stand_in(action=None):
         if action is not None:
             action()
         pools = {var: os.environ.get(var) for var in cli._POOL_VARS}
-        return CriterionResult(name="stand-in", passed=True,
-                               details={"pid": os.getpid(), "pools": pools},
-                               elapsed_s=0.0)
+        return True, {"pid": os.getpid(), "pools": pools}
     return criterion
 
 
@@ -570,15 +586,15 @@ def test_no_subcommand_imports_scipy(tmp_path):
 
 class TestDemo:
     def test_demo_passes_at_reduced_resolution(self, tmp_path, monkeypatch):
-        from minsurf import acceptance, immersion
         flows = []
-        inner = immersion.normal_flow
+        inner = acceptance.normal_flow
 
         def counted(g, f, t):
             flows.append((g.spec.ny, t))
             return inner(g, f, t)
 
-        monkeypatch.setattr(immersion, "normal_flow", counted)
+        # the demo flows through acceptance._curvatures
+        monkeypatch.setattr(acceptance, "normal_flow", counted)
         out = tmp_path / "demo.json"
         assert run(["demo", "--fine", "64", "--out", str(out)]) == 0
         # each sweep time once on the fine grid, then t = 1e-3 on the coarse

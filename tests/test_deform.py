@@ -1,6 +1,7 @@
 """Zero-locus detection and the curvature-opening field constructions."""
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,7 +252,6 @@ class TestDetectZ:
         c = deform.detect_z(chart64)[0]
         verdict = deform.genericity_check(c)
         assert not verdict
-        assert verdict.reason == "NonGenericCurve"
         assert verdict.line_deviation <= verdict.tol_line
 
     def test_genericity_rejects_points(self):
@@ -381,12 +381,8 @@ class TestBuildG:
 
     def test_inconsistent_antiderivative_rejected(self):
         (h_samples, xi) = xi_for_tests()
-        broken = deform.XiFunction(
-            xi=xi.func.xi,
-            xi_prime=xi.func.xi_prime,
-            Xi=lambda x: 0.9 * xi.func.Xi(x),
-            support=xi.func.support,
-        )
+        broken = replace(xi, func=replace(
+            xi.func, Xi=lambda x: 0.9 * xi.func.Xi(x)))
         dom = GridSpec(nx=41, ny=21, hx=1.4 / 40, hy=2.0 / 20,
                        origin=(-0.2, -1.0), periodic_y=False)
         with pytest.raises(ClosednessViolation):
@@ -546,6 +542,41 @@ class TestAssembleF:
         f = deform.assemble_f(s, comps, r=0.3)
         direct = deform.build_point_f((0.0, 0.5), 0.3, s.spec)
         assert np.array_equal(f.values, direct.values)
+
+    def test_open_arc_field(self):
+        # a wavy open arc across a rectangle: thinned to one node per
+        # column, it gets the saddle about its centroid times the bump of
+        # the distance to its polyline
+        spec = GridSpec(nx=65, ny=65, hx=1 / 64, hy=1 / 64,
+                        origin=(-0.5, -0.5), periodic_y=False)
+        u = ScalarField.from_function(
+            spec, lambda x, y: 5.0 * (y - 0.08 * np.sin(2 * np.pi * x)) ** 2)
+        s = SurfaceData(u)
+        comps = deform.detect_z(s, tol_z=1e-3)
+        assert len(comps) == 1
+        c = comps[0]
+        assert (c.kind, c.closed, len(c.nodes)) == ("Curve", False, 65)
+        assert (c.thinned, c.dropped) == (46, 0)
+
+        r, h = 0.1, 1 / 64
+        f = deform.assemble_f(s, comps, r=r).values
+        # distance from every node to the chain's segments
+        X, Y = spec.nodes()
+        p, q = c.points[:-1], c.points[1:]
+        d = q - p
+        px, py = X[..., None] - p[:, 0], Y[..., None] - p[:, 1]
+        t = np.clip((px * d[:, 0] + py * d[:, 1]) / np.sum(d * d, axis=1),
+                    0.0, 1.0)
+        dist = np.hypot(px - t * d[:, 0], py - t * d[:, 1]).min(axis=-1)
+        assert np.all(f[dist >= r] == 0.0)
+
+        inner = np.zeros(spec.shape, dtype=bool)
+        inner[1:-1, 1:-1] = dist[1:-1, 1:-1] <= r / 2 - 2 * h
+        fxx = (f[2:, 1:-1] - 2 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / h ** 2
+        fyy = (f[1:-1, 2:] - 2 * f[1:-1, 1:-1] + f[1:-1, :-2]) / h ** 2
+        near = inner[1:-1, 1:-1]
+        assert near.sum() == 189
+        assert np.all(fxx[near] == -1.0) and np.all(fyy[near] == 1.0)
 
     def test_branched_curve_is_refused(self):
         s = t_chart()

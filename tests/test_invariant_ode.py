@@ -80,7 +80,7 @@ class TestBlowUp:
     @pytest.mark.parametrize("v0", sorted(DELTA))
     def test_abscissa_matches_quadrature(self, v0):
         with pytest.raises(BlowUp) as exc:
-            iode.integrate(v0, DELTA[v0] + 0.1, estimate_width=False)
+            iode.integrate(v0, DELTA[v0] + 0.1)
         assert exc.value.x_reached == pytest.approx(DELTA[v0], abs=1e-6)
         assert exc.value.g_reached > 10.0
 
@@ -95,7 +95,7 @@ class TestBlowUp:
         scale = np.maximum(1.0, 2.0 * np.sinh(2.0 * sol.g))
         assert np.all(iode.first_integral_residuals(sol) <= 1e-9 * scale)
         with pytest.raises(BlowUp) as exc:
-            iode.integrate(v0, d + 0.1, estimate_width=False)
+            iode.integrate(v0, d + 0.1)
         assert abs(exc.value.x_reached - d) <= 1e-6
         assert exc.value.g_reached > 10.0
 
@@ -105,7 +105,7 @@ class TestBlowUp:
         # the call that made them
         def blow_up():
             with pytest.raises(BlowUp):
-                iode.integrate(0.0, DELTA[0.0] + 0.1, estimate_width=False)
+                iode.integrate(0.0, DELTA[0.0] + 0.1)
 
         blow_up()
         gc.collect()
@@ -158,7 +158,7 @@ class TestAgainstScipy:
     def test_same_steps_and_samples(self, v0, frac):
         x_max = frac * iode.estimate_delta(v0)
         code, ref = scipy_dopri5(v0, x_max)
-        sol = iode.integrate(v0, x_max, estimate_width=False)
+        sol = iode.integrate(v0, x_max)
         assert code == 1 and sol.xs.size == len(ref)
         x, g, gp = ref.T
         assert np.max(np.abs(sol.g_at(x) - g)) <= 1e-12 * np.max(g)
@@ -168,7 +168,7 @@ class TestAgainstScipy:
     def test_blows_up_at_the_same_abscissa(self, v0):
         code, ref = scipy_dopri5(v0, 2.0)
         with pytest.raises(BlowUp) as exc:
-            iode.integrate(v0, 2.0, estimate_width=False)
+            iode.integrate(v0, 2.0)
         assert code == -3
         assert exc.value.x_reached == pytest.approx(ref[-1, 0], abs=1e-12)
 

@@ -501,8 +501,7 @@ class TestInvariantStripProblem:
             pde.invariant_strip_problem(sol0, 2.0 * sol0.delta_est + 0.1,
                                         nx=33, ny=32)
 
-    def test_newton_params_validation(self):
-        with pytest.raises(ValueError):
-            pde.NewtonParams(tol_residual=-1.0)
-        with pytest.raises(ValueError):
-            pde.NewtonParams(damping=1.5)
+    def test_tol_residual_validation(self, sol0):
+        with pytest.raises(ValueError, match="tol_residual"):
+            pde.invariant_strip_problem(sol0, 0.8, nx=33, ny=32,
+                                        tol_residual=-1.0)
