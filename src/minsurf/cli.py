@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import pickle
 import signal
@@ -61,15 +62,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _nonneg_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {v}")
+    return v
+
+
+def _nonneg_float(text: str) -> float:
+    v = _finite_float(text)
     if v < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {v}")
     return v
 
 
 def _pos_float(text: str) -> float:
-    v = float(text)
+    v = _finite_float(text)
     if not v > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {v}")
     return v
@@ -86,7 +94,7 @@ def _point(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected X,Y, got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    return (_finite_float(parts[0]), _finite_float(parts[1]))
 
 
 def _emit(report: dict, path: "str | None") -> None:
@@ -684,7 +692,7 @@ def _build_parser() -> _Parser:
 
     q = sub.add_parser("flow", help="immerse, flow by t*f, report curvatures")
     _add_surface_flags(q)
-    q.add_argument("--t", type=float, required=True,
+    q.add_argument("--t", type=_finite_float, required=True,
                    help="flow time (may be negative)")
     q.add_argument("--bump-center", type=_point, default=(0.0, 0.5))
     q.add_argument("--bump-r", type=_pos_float, default=0.45)

@@ -618,3 +618,21 @@ class TestUsage:
 
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--width", "1", "--nx", "33", "--ny", "32", "--period",
+         "inf"],
+        ["solve", "--width", "1", "--nx", "33", "--ny", "32", "--tol", "inf"],
+        ["solve", "--width", "1", "--v0", "nan"],
+        ["ode", "--v0", "nan"],
+        ["flow", "--t", "inf"],
+        ["deform", "--bump-center", "nan,0.5"],
+    ])
+    def test_non_finite_numbers_are_refused_at_parse_time(
+            self, argv, tmp_path, capsys, recwarn):
+        out = tmp_path / "r.json"
+        assert run(argv + ["--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "must be finite" in err
+        assert not out.exists()
+        assert not [w for w in recwarn if w.category is RuntimeWarning]

@@ -4,7 +4,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -456,6 +456,102 @@ class TestNewtonStepLog:
         for k in range(2):
             p = bench_rectangle(rng)
             assert self.steps(p, caplog) == SCIPY_RECT_STEPS[seed, k]
+
+
+def c03_strip(sol, level):
+    """Criterion 03's strip: width 0.8 delta(0), ny = level."""
+    width = 0.8 * iode.estimate_delta(0.0)
+    return pde.invariant_strip_problem(sol, width, nx=round(width * level) + 1,
+                                       ny=level)
+
+
+def run_logged(fn, p, caplog):
+    """u from fn(p), and the (iteration, sup residual, damping, MINRES
+    iterations, forcing, MINRES info) of each Newton step it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="minsurf.pde"):
+        u = fn(p)
+    return u, [r.args for r in caplog.records if r.name == "minsurf.pde"]
+
+
+def newton_outcome(fn):
+    """fn()'s u, or the iteration count of the NewtonDiverged it raised."""
+    try:
+        return fn()
+    except NewtonDiverged as e:
+        return e.iterations
+
+
+class TestYInvariantReduction:
+    """solve runs a cylinder with y-constant edge rows on 3 columns and
+    tiles the result; _newton on the full grid is the reference."""
+
+    @pytest.mark.parametrize("case", ["c03-64", "c03-128", "negative-edges"])
+    def test_matches_the_full_grid_newton(self, sol0, case, caplog):
+        # negative constant data: u < 0 inside, so -J is indefinite there
+        p = (strip_problem(0.6, -0.4, nx=65, ny=64) if case == "negative-edges"
+             else c03_strip(sol0, int(case[4:])))
+        s, reduced = run_logged(pde.solve, p, caplog)
+        u_full, full = run_logged(pde._newton, p, caplog)
+        u = s.u.values
+        assert np.max(np.abs(u - u_full)) <= 1e-13
+        assert np.all(u == u[:, :1])  # every column bitwise equal
+        assert np.array_equal(u[[0, -1]], p.boundary.values[[0, -1]])
+        # the same steps; the last residual sits at rounding level
+        assert ([(a[0], a[2], a[3], a[5]) for a in reduced]
+                == [(a[0], a[2], a[3], a[5]) for a in full])
+        for i in (1, 4):
+            assert np.allclose([a[i] for a in reduced], [a[i] for a in full],
+                               rtol=1e-6, atol=p.tol_residual)
+        assert pde.residual(s) <= p.tol_residual
+        assert s.weakly_bounded == (case != "negative-edges")
+        if case == "negative-edges":
+            assert u.max() < 0
+
+    # the example diverges after 4 Newton steps on the full grid, and after
+    # 7 on 3 columns if MINRES's |A| estimate starts from the 3-column |b|
+    @settings(max_examples=25, deadline=None)
+    @given(nx=st.integers(5, 65), ny=st.integers(4, 64),
+           width=st.floats(0.1, 3.0),
+           edges=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+    @example(nx=12, ny=26, width=1.3206720443906426,
+             edges=(0.16498424636196074, -0.04407103695625114))
+    def test_random_strips_get_the_full_grid_verdict(self, nx, ny, width,
+                                                     edges):
+        # widths up to 3.0 reach past every solvable strip (2.858)
+        p = strip_problem(width, 0.0, nx=nx, ny=ny)
+        g = p.boundary.values.copy()
+        g[0], g[-1] = edges
+        p = pde.PdeProblem(p.spec, ScalarField(p.spec, g))
+        reduced = newton_outcome(lambda: pde.solve(p).u.values)
+        full = newton_outcome(lambda: pde._newton(p))
+        if isinstance(full, int):
+            assert reduced == full
+        else:
+            assert not isinstance(reduced, int)
+            assert np.max(np.abs(reduced - full)) <= 1e-12
+
+    @pytest.mark.parametrize("edge", [None, 0, -1])
+    def test_only_y_constant_edges_are_reduced(self, sol0, edge, monkeypatch):
+        p = pde.invariant_strip_problem(sol0, 0.8, nx=33, ny=32)
+        g = p.boundary.values.copy()
+        if edge is not None:
+            g[edge] += 1e-12 * np.cos(2 * np.pi * p.spec.ys)
+        p = pde.PdeProblem(p.spec, ScalarField(p.spec, g))
+        grids = []
+        inner = pde._newton
+
+        def spy(q, **kw):
+            grids.append(q.spec.ny)
+            return inner(q, **kw)
+
+        monkeypatch.setattr(pde, "_newton", spy)
+        pde.solve(p)
+        assert grids == [3 if edge is None else 32]
+
+    def test_rectangles_take_the_full_grid(self):
+        p = sign_changing_square()
+        assert np.array_equal(pde.solve(p).u.values, pde._newton(p))
 
 
 class TestResidual:
