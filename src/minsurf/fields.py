@@ -295,10 +295,22 @@ class OperatorField:
 
 
 def diff1(values: np.ndarray, h: float, axis: int, periodic: bool = False) -> np.ndarray:
-    """First derivative, O(h^2): central interior, one-sided non-periodic edges."""
+    """First derivative, O(h^2): central interior, one-sided non-periodic edges.
+
+    The non-periodic stencil is np.gradient's (edge_order=2) with numpy's
+    coefficients in numpy's order, so the values are bitwise its own; the
+    interior is computed into the output without a full-size temporary.
+    """
     if periodic:
         return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * h)
-    return np.gradient(values, h, axis=axis, edge_order=2)
+    out = np.empty(np.shape(values))
+    v = np.moveaxis(values, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0 * h
+    o[0] = -1.5 / h * v[0] + 2.0 / h * v[1] + -0.5 / h * v[2]
+    o[-1] = 0.5 / h * v[-3] + -2.0 / h * v[-2] + 1.5 / h * v[-1]
+    return out
 
 
 def diff2(values: np.ndarray, h: float, axis: int, periodic: bool = False) -> np.ndarray:

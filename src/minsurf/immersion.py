@@ -16,7 +16,8 @@ satisfy the Gauss-Weingarten system
 
 whose flatness is exactly the cosh-Gordon equation, so the frame
 (sigma, sigma_x, sigma_y, nu) can be propagated by classical RK4 along grid
-lines: base row first, then every column in lockstep.  After each step the
+lines: from the chart's centre node along its row, then every column, each
+sweep marching out to both ends at once.  After each step the
 frame is re-projected onto the constraint set (<sigma,sigma> = -1,
 <nu,nu> = 1, <sigma,nu> = 0, nu normal to the tangents), which keeps drift at
 rounding level without changing the order of the method.  normal_flow
@@ -284,14 +285,19 @@ def immerse(
 ) -> ImmersionGrid:
     """Integrate the frame system over the grid.
 
-    Initial frame at the first node: sigma = (1,0,0,0), sigma_x = e^u E1,
-    sigma_y = e^u E2, nu = E3.  `order` picks which family of grid lines is
-    integrated first ("rows_then_columns" or "columns_then_rows"); the two
-    routes agree to scheme order and their difference is a flatness check.
+    Initial frame at the centre node (i0, j0) = ((nx - 1) // 2, ny // 2):
+    sigma = (1,0,0,0), sigma_x = e^u E1, sigma_y = e^u E2, nu = E3, so the
+    immersion sits at the hyperboloid's vertex, where ambient coordinates,
+    and the finite-difference error of forms_from_immersion, are smallest.
+    `order` picks which family of grid lines is integrated first
+    ("rows_then_columns" or "columns_then_rows"); the two routes agree to
+    scheme order and their difference is a flatness check.  Either way,
+    each sweep marches out from the centre to both ends in lockstep (see
+    _sweep), so its sequential depth is half the line's length.
 
     The RK4 coefficients (u, u_x, u_y) come from one bicubic fit of the
     chart, tabulated before the sweeps at every node and midpoint the RK4
-    stages visit: along the first line, and along the marched direction
+    stages visit: along the centre line, and along the marched direction
     through every node of that line.  The sweeps then only slice arrays, so
     the work is linear in the node count.
 
@@ -320,63 +326,107 @@ def immerse(
         )
 
     xs, ys = spec.xs, spec.ys
-    e = float(np.exp(s.u.values[0, 0]))
+    i0, j0 = (spec.nx - 1) // 2, spec.ny // 2
+    e = float(np.exp(s.u.values[i0, j0]))
     base = np.stack((_E0, e * _E1, e * _E2, _E3))
 
-    # tables are indexed marched-axis first: 2k is node k, 2k+1 the midpoint
+    # tables are indexed marched-axis first: 2k is node k, 2k+1 the midpoint;
+    # the sheet keeps sigma and nu only
     if order == "rows_then_columns":
-        line, sheet = _coeff_tables(s, (_half_steps(xs), ys[:1]),
+        line, sheet = _coeff_tables(s, (_half_steps(xs), ys[j0:j0 + 1]),
                                     (xs, _half_steps(ys)))
         line = tuple(c[:, 0] for c in line)
-        sheet = tuple(np.ascontiguousarray(c.T) for c in sheet)
-        line_frames = _march(base, xs, line, _rhs_x, "line")
-        frames = _march(line_frames.transpose(1, 0, 2), ys, sheet, _rhs_y,
-                        "sheet")
-        sigma = frames[:, 0].transpose(1, 0, 2)
-        nu = frames[:, 3].transpose(1, 0, 2)
+        line_frames = _sweep(base, xs, i0, line, _rhs_x, "line")
+        frames = _sweep(line_frames.transpose(1, 0, 2), ys, j0,
+                        tuple(c.T for c in sheet), _rhs_y, "sheet", _ENDS)
+        sigma, nu = (frames[:, m].transpose(1, 0, 2) for m in (0, 1))
     else:
-        line, sheet = _coeff_tables(s, (xs[:1], _half_steps(ys)),
+        line, sheet = _coeff_tables(s, (xs[i0:i0 + 1], _half_steps(ys)),
                                     (_half_steps(xs), ys))
         line = tuple(c[0] for c in line)
-        line_frames = _march(base, ys, line, _rhs_y, "line")
-        frames = _march(line_frames.transpose(1, 0, 2), xs, sheet, _rhs_x,
-                        "sheet")
-        sigma, nu = frames[:, 0], frames[:, 3]
+        line_frames = _sweep(base, ys, j0, line, _rhs_y, "line")
+        frames = _sweep(line_frames.transpose(1, 0, 2), xs, i0, sheet,
+                        _rhs_x, "sheet", _ENDS)
+        sigma, nu = frames[:, 0], frames[:, 1]
 
     return ImmersionGrid(spec=spec, sigma=sigma, nu=nu)
 
 
-def _march(frame0, ts, coeffs, rhs, sweep: str):
-    """March stacked frames along ts by RK4, projecting after every step.
+_ENDS = np.s_[::3]  # sigma and nu of a stacked frame
 
-    frame0: (4, ..., 4) frame (sigma, sx, sy, nu) at t = ts[0]; the middle
-    axes (none for a single line, the line's nodes for a sheet) march in
-    lockstep.  coeffs: (u, u_x, u_y) tables of shape (2 len(ts) - 1, ...),
-    node k at index 2k and the midpoint after it at 2k + 1; e^{2u} and the
-    trailing unit axis are tabulated once here.  Returns the frames as one
-    (len(ts), 4, ..., 4) array.  The largest drift before projection is
-    logged once per sweep.
+
+def _sweep(frame0, ts, i0, coeffs, rhs, sweep: str, parts=np.s_[:]):
+    """March frame0 from node i0 of ts out to both ends; return the frames'
+    `parts` as one (len(ts), ...) array in grid order.
+
+    coeffs: (u, u_x, u_y) tables of shape (2 len(ts) - 1, ...), node k at
+    index 2k and the midpoint after it at 2k + 1.  The forward and backward
+    halves stack along a new frame axis and go through one _march in
+    lockstep, the backward half on negative steps.  That is bitwise the
+    forward march of the reflected frame (the marched tangent and its
+    coefficient negated, the step positive), as every negation is exact.
+    Where one half is a step longer, it takes that step alone.  Each half
+    writes into its own outward view of one preallocated output.  The
+    largest drift before projection is logged once per sweep.
+    """
+    out = np.empty((ts.size, *frame0[parts].shape))
+    out[i0] = frame0[parts]
+    lengths = (ts.size - 1 - i0, i0)  # steps forward and backward
+    n = min(lengths)
+
+    def halves(dirs, k0, k1):
+        """Nodes, tables and output rows of the halves marching in dirs
+        from step k0 to k1, stacked along axis 1."""
+        return (np.stack([ts[i0::d][k0:k1 + 1] for d in dirs], axis=1),
+                tuple(np.stack([c[2 * i0::d][2 * k0:2 * k1 + 1] for d in dirs],
+                               axis=1) for c in coeffs),
+                [out[i0::d][k0:] for d in dirs])
+
+    # C order: the stack would keep the transposed layout of the line sweep's
+    # output, which makes every vector operation strided, about 2x slower
+    frame = np.ascontiguousarray(np.stack([frame0, frame0], axis=1))
+    frame, d_max = _march(frame, *halves((1, -1), 0, n), rhs, sweep, parts)
+    for h, d in enumerate((1, -1)):
+        if lengths[h] > n:  # the longer half's last step, alone
+            _, tail = _march(frame[:, h:h + 1], *halves((d,), n, lengths[h]),
+                             rhs, sweep, parts)
+            d_max = max(d_max, tail)
+    _log.debug("%s sweep: max drift before projection %.3e", sweep, d_max)
+    return out
+
+
+def _march(frame, ts, coeffs, out, rhs, sweep: str, parts=np.s_[:]):
+    """March stacked frames by RK4, projecting after every step.
+
+    frame: (4, H, ..., 4) frame (sigma, sx, sy, nu) of H lines marching in
+    lockstep, line h at ts[0, h]; the axes after H (none for a single line,
+    the line's nodes for a sheet) broadcast.  ts: (n + 1, H) nodes, in
+    marching order (steps may be negative).  coeffs: (u, u_x, u_y) tables of
+    shape (2n + 1, H, ...), node k at index 2k and the midpoint after it at
+    2k + 1; e^{2u} and the trailing unit axis are tabulated once here.
+    out[h][k] receives `parts` of line h's frame at ts[k, h], for k >= 1.
+    Returns the last frame and the largest drift before projection.
     """
     u, ux, uy = coeffs
     coeffs = tuple(c[..., None] for c in (np.exp(2.0 * u), ux, uy))
-    # C order: a frame inheriting the transposed layout of the line sweep's
-    # output makes every vector operation strided, about 30% slower
-    frame = np.array(frame0, dtype=float, order="C")
-    out = np.empty((ts.size, *frame.shape))
-    out[0] = frame
+    steps = np.diff(ts, axis=0).reshape(-1, ts.shape[1],
+                                        *[1] * (frame.ndim - 2))
     d_max = 0.0
-    for i in range(ts.size - 1):
+    for i, h in enumerate(steps):
         j = 2 * i
         c0, cm, c1 = ([c[j + m] for c in coeffs] for m in range(3))
-        frame = _rk4_step(frame, ts[i + 1] - ts[i], rhs, c0, cm, c1)
+        frame = _rk4_step(frame, h, rhs, c0, cm, c1)
         d, ss = _drift(frame[0], frame[3])
         if d > _DRIFT_HARD:
-            raise ConstraintDrift(d, where=f"{sweep} sweep at t = {ts[i + 1]:.6g}")
+            worst = int(np.argmax([_drift(frame[0, k], frame[3, k])[0]
+                                  for k in range(ts.shape[1])]))
+            raise ConstraintDrift(
+                d, where=f"{sweep} sweep at t = {ts[i + 1, worst]:.6g}")
         d_max = max(d_max, d)
         _project(frame, ss)
-        out[i + 1] = frame
-    _log.debug("%s sweep: max drift before projection %.3e", sweep, d_max)
-    return out
+        for k, o in enumerate(out):
+            o[i + 1] = frame[parts, k]
+    return frame, d_max
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,19 @@ class TestDifferences:
             errs.append(np.max(np.abs(d - exact)[1:-1, :]))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 70), other=st.integers(3, 9),
+           vector=st.booleans(), axis=st.sampled_from([0, 1]),
+           h=st.floats(1e-3, 10.0))
+    def test_diff1_is_numpy_gradient_bit_for_bit(self, data, n, other,
+                                                 vector, axis, h):
+        shape = [other, other] + [4] * vector
+        shape[axis] = n
+        v = data.draw(arrays(float, tuple(shape),
+                             elements=st.floats(-1e3, 1e3)))
+        want = np.gradient(v, h, axis=axis, edge_order=2)
+        assert np.array_equal(diff1(v, h, axis=axis), want)
+
     def test_diff2_periodic_wraps(self):
         n = 64
         s = GridSpec(nx=9, ny=n, hx=0.1, hy=1.0 / n, origin=(0.0, 0.0),

@@ -71,7 +71,11 @@ def periodic_chart(sol, n):
 
 def solved_rectangle(k=1):
     """Dirichlet solution on a 0.8 x 0.6 rectangle with (32k+1, 24k+1) nodes."""
-    nx, ny = 32 * k + 1, 24 * k + 1
+    return solved_rectangle_on(32 * k + 1, 24 * k + 1)
+
+
+def solved_rectangle_on(nx, ny):
+    """Dirichlet solution on a 0.8 x 0.6 rectangle with nx x ny nodes."""
     spec = GridSpec(nx=nx, ny=ny, hx=0.8 / (nx - 1), hy=0.6 / (ny - 1),
                     origin=(-0.4, -0.3), periodic_y=False)
     X, Y = spec.nodes()
@@ -239,6 +243,97 @@ class TestImmerse:
         g = imm.immerse(chart32)
         imm.normal_flow(g, ScalarField.zeros(g.spec), 0.1)
         assert capfd.readouterr() == ("", "")
+
+    def test_frame_starts_at_the_centre_node(self, chart32, monkeypatch):
+        starts = []
+        real = imm._sweep
+
+        def spy(frame0, ts, i0, *args, **kwargs):
+            starts.append((np.array(frame0), i0))
+            return real(frame0, ts, i0, *args, **kwargs)
+
+        monkeypatch.setattr(imm, "_sweep", spy)
+        g = imm.immerse(chart32)
+        spec = chart32.spec
+        i0, j0 = (spec.nx - 1) // 2, spec.ny // 2
+        assert (i0, j0) == (16, 16)
+        e = np.exp(chart32.u.values[i0, j0])
+        (base, line_i0), (_, sheet_j0) = starts
+        assert (line_i0, sheet_j0) == (i0, j0)
+        assert np.array_equal(base, np.diag([1.0, e, e, 1.0]))
+        assert np.array_equal(g.sigma[i0, j0], [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(g.nu[i0, j0], [0.0, 0.0, 0.0, 1.0])
+
+    def test_lockstep_backward_half_matches_a_negative_step_march(self, chart64,
+                                                                  imm64):
+        # the line sweep's backward half, marched alone from the centre down
+        # to node 0 on negative steps; stacking with the forward half changes
+        # only how BLAS rounds the Minkowski dots
+        spec = chart64.spec
+        xs = spec.xs
+        i0, j0 = (spec.nx - 1) // 2, spec.ny // 2
+        (line,) = imm._coeff_tables(
+            chart64, (imm._half_steps(xs), spec.ys[j0:j0 + 1]))
+        e = np.exp(chart64.u.values[i0, j0])
+        base = np.diag([1.0, e, e, 1.0])
+        out = np.empty((i0 + 1, 4, 4))
+        out[0] = base
+        imm._march(base[:, None], xs[i0::-1, None],
+                   tuple(c[2 * i0::-1] for c in line), [out], imm._rhs_x,
+                   "line")
+        assert np.max(np.abs(out[:, 0] - imm64.sigma[i0::-1, j0])) <= 1e-14
+        assert np.max(np.abs(out[:, 3] - imm64.nu[i0::-1, j0])) <= 1e-14
+
+    @pytest.mark.parametrize("order", ["rows_then_columns",
+                                       "columns_then_rows"])
+    @pytest.mark.parametrize("shape", [(32, 25), (33, 24)])
+    def test_halves_one_step_apart_reach_every_node(self, shape, order,
+                                                    caplog):
+        # an even nx or ny puts the centre off the middle, so one half of
+        # that sweep takes its last step alone; every node still holds a
+        # marched frame: unit-speed coordinate lines in the metric e^{2u}
+        s = solved_rectangle_on(*shape)
+        with caplog.at_level(logging.DEBUG, logger="minsurf.immersion"):
+            g = imm.immerse(s, order=order)
+        sweeps = [r.args[0] for r in caplog.records
+                  if r.name == "minsurf.immersion" and len(r.args) == 2]
+        assert sweeps == ["line", "sheet"]
+        assert g.constraint_drift() <= 1e-9
+        spec, eu = s.spec, np.exp(s.u.values)
+        for axis, h in ((0, spec.hx), (1, spec.hy)):
+            d = np.diff(g.sigma, axis=axis) / h
+            speed = np.sqrt(imm.minkowski_dot(d, d))
+            mid = np.sqrt(eu[:-1] * eu[1:] if axis == 0
+                          else eu[:, :-1] * eu[:, 1:])
+            assert np.max(np.abs(speed / mid - 1.0)) <= 1e-2
+
+    def test_backward_half_failure_names_the_true_node(self, sol0,
+                                                       monkeypatch, caplog):
+        # off-centre chart: x runs over [-0.8, 0.2], so the line sweep's
+        # backward half (x < -0.3) climbs to the largest u and drifts most,
+        # at its last node; a reflected coordinate would read +0.8
+        spec = GridSpec(nx=65, ny=64, hx=1 / 64, hy=1 / 64,
+                        origin=(-0.8, 0.0), periodic_y=True)
+        s = iode.to_surface(sol0, spec)
+        with caplog.at_level(logging.DEBUG, logger="minsurf.immersion"):
+            imm.immerse(s)
+        drift = {r.args[0]: r.args[1] for r in caplog.records
+                 if r.name == "minsurf.immersion" and len(r.args) == 2}
+        monkeypatch.setattr(imm, "_DRIFT_HARD", 0.9 * drift["line"])
+        with pytest.raises(ConstraintDrift,
+                           match=r"line sweep at t = -0\.8\)") as exc:
+            imm.immerse(s)
+        assert 0.9 * drift["line"] < exc.value.drift <= drift["line"]
+
+    def test_centre_start_recovers_forms_within_budget(self, sol0):
+        # starting at the hyperboloid's vertex keeps ambient coordinates,
+        # and so the O(h^2) error of form recovery, small: 9.2e-5 here,
+        # against 2.6e-4 for a frame started at the chart's first node
+        s = periodic_chart(sol0, 256)
+        got = imm.forms_from_immersion(imm.immerse(s))
+        err = max((a - b).sup(interior_only=True)
+                  for a, b in zip(got, embedding_data(s)))
+        assert err <= 1.2e-4
 
     def test_rejects_unknown_order(self, chart32):
         with pytest.raises(ValueError, match="order"):
