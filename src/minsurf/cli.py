@@ -108,34 +108,38 @@ def _emit(report: dict, path: "str | None") -> None:
             fh.write(text)
 
 
-def _invariant_surface(v0: float, width: float, nx: int, ny: int,
-                       period: float):
+def _strip_profile(args):
+    """The strip that args ask for, centred and periodic in y; the invariant
+    profile of args.v0, integrated out to at least the strip's edge; and
+    delta(args.v0).  A strip that reaches delta raises DomainExceedsDelta."""
     import numpy as np
 
     from .errors import DomainExceedsDelta
     from .fields import GridSpec
-    from .invariant_ode import estimate_delta, integrate, to_surface
+    from .invariant_ode import estimate_delta, integrate
 
-    delta = estimate_delta(v0)
-    spec = GridSpec(nx=nx, ny=ny, hx=width / (nx - 1), hy=period / ny,
-                    origin=(-width / 2.0, 0.0), periodic_y=True)
+    delta = estimate_delta(args.v0)
+    spec = GridSpec(nx=args.nx, ny=args.ny, hx=args.width / (args.nx - 1),
+                    hy=args.period / args.ny, origin=(-args.width / 2.0, 0.0),
+                    periodic_y=True)
     # a strip past delta is refused before the profile could blow up on it
     reach = float(np.abs(spec.xs).max())
     if reach >= delta:
         raise DomainExceedsDelta(
             f"grid reaches |x| = {reach:.6g} >= delta = {delta:.6g}")
-    sol = integrate(v0, max(0.95 * delta, reach), rtol=1e-10)
-    return to_surface(sol, spec)
+    sol = integrate(args.v0, max(0.95 * delta, reach), rtol=1e-10)
+    return spec, sol, delta
 
 
 def _surface_from_args(args):
     from .fields import ScalarField
     from .geometry import SurfaceData
+    from .invariant_ode import to_surface
 
     if getattr(args, "input", None):
         return SurfaceData(ScalarField.from_csv(args.input))
-    return _invariant_surface(args.v0, args.width, args.nx, args.ny,
-                              args.period)
+    spec, sol, _ = _strip_profile(args)
+    return to_surface(sol, spec)
 
 
 def _surface_params(args) -> dict:
@@ -212,18 +216,9 @@ def cmd_ode(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .invariant_ode import estimate_delta, integrate
     from .pde import invariant_strip_problem, residual, solve
 
-    delta = estimate_delta(args.v0)
-    if args.width / 2.0 >= delta:
-        raise ValueError(
-            f"width/2 = {args.width / 2:.6g} reaches the maximal half-width "
-            f"delta({args.v0:g}) = {delta:.6g}; no solution exists")
-    # the profile must reach the strip's edge, width/2
-    x_end = max(min(0.95 * delta, 0.55 * args.width * 1.2 + 0.2),
-                args.width / 2.0)
-    sol = integrate(args.v0, x_end, rtol=1e-10)
+    _, sol, delta = _strip_profile(args)
     prob = invariant_strip_problem(
         sol, args.width, nx=args.nx, ny=args.ny, period_y=args.period,
         tol_residual=args.tol)

@@ -11,8 +11,9 @@ Conventions used everywhere in the package:
   * one CSV codec serves ScalarField and ImmersionGrid: a "# " line with
     the grid as JSON (sorted keys), a line of column names starting x,y,
     then one row per node, j fastest, at 17 significant digits (float64
-    round-trips exactly).  The reader checks the names, the row count, and
-    x and y against the header grid to 1e-6 of a grid step.
+    round-trips exactly).  The reader checks the header's keys and JSON
+    types, the names, the row count, and x and y against the header grid
+    to 1e-6 of a grid step.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ __all__ = [
     "diff2",
     "laplacian",
 ]
+
+
+# the Python types json.loads gives each JSON type of a grid header's values;
+# matched exactly, since bool subclasses int
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -62,11 +68,6 @@ class GridSpec:
     @property
     def ys(self) -> np.ndarray:
         return self.origin[1] + self.hy * np.arange(self.ny)
-
-    @property
-    def width(self) -> float:
-        """Extent in x, (nx-1)*hx."""
-        return (self.nx - 1) * self.hx
 
     @property
     def period_y(self) -> float:
@@ -107,13 +108,26 @@ class GridSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
+        """Inverse of to_json_dict, on what json.loads gives.  Every key is
+        required and nothing is coerced: nx and ny are JSON integers, hx, hy
+        and the two origin entries JSON numbers, periodic_y a JSON boolean.
+        Anything else raises ValueError, so an edited header cannot load as
+        another grid."""
+        def typed(name, v, kind):
+            if type(v) not in _JSON_TYPES[kind]:
+                raise ValueError(f"{name} = {v!r} is not a JSON {kind}")
+            return v
+
+        origin = d["origin"]
+        if not (isinstance(origin, list) and len(origin) == 2):
+            raise ValueError(f"origin = {origin!r} is not a pair of numbers")
         return cls(
-            nx=int(d["nx"]),
-            ny=int(d["ny"]),
-            hx=float(d["hx"]),
-            hy=float(d["hy"]),
-            origin=tuple(d.get("origin", (0.0, 0.0))),
-            periodic_y=bool(d.get("periodic_y", False)),
+            nx=typed("nx", d["nx"], "integer"),
+            ny=typed("ny", d["ny"], "integer"),
+            hx=typed("hx", d["hx"], "number"),
+            hy=typed("hy", d["hy"], "number"),
+            origin=tuple(typed("origin", o, "number") for o in origin),
+            periodic_y=typed("periodic_y", d["periodic_y"], "boolean"),
         )
 
 
@@ -240,9 +254,6 @@ class OperatorField:
     def det(self) -> np.ndarray:
         return self.a11 * self.a22 - self.a12 * self.a21
 
-    def transpose(self) -> "OperatorField":
-        return OperatorField(self.spec, np.swapaxes(self.mat, -1, -2))
-
     def inverse(self) -> "OperatorField":
         d = self.det()
         if np.any(np.abs(d) < np.finfo(float).tiny):
@@ -253,9 +264,6 @@ class OperatorField:
         inv[..., 1, 0] = -self.a21
         inv[..., 1, 1] = self.a11
         return OperatorField(self.spec, inv / d[..., None, None])
-
-    def is_symmetric(self, tol: float = 1e-14) -> bool:
-        return bool(np.max(np.abs(self.a12 - self.a21)) <= tol)
 
     def __matmul__(self, other: "OperatorField") -> "OperatorField":
         if other.spec != self.spec:

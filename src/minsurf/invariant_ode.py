@@ -140,11 +140,6 @@ class OdeSolution:
     def x_max(self) -> float:
         return float(self.xs[-1])
 
-    @property
-    def samples(self) -> np.ndarray:
-        """(n, 3) array of rows (x, g, g')."""
-        return np.column_stack([self.xs, self.g, self.gp])
-
     def _check_range(self, ax: np.ndarray) -> None:
         if np.any(ax > self.x_max * (1.0 + 1e-12) + 1e-300):
             raise ValueError(

@@ -276,7 +276,8 @@ def _minres(apply_A, b: np.ndarray, psolve, rtol: float, maxiter: int):
 
 
 def harmonic_extension(spec: GridSpec, boundary: ScalarField) -> ScalarField:
-    """Solve Delta_h v = 0 with the given Dirichlet data (solve's start)."""
+    """Solve Delta_h v = 0 with the given Dirichlet data: the start of
+    solve's Newton iteration, which _newton computes inline."""
     if boundary.spec != spec:
         raise ValueError("boundary field lives on a different grid")
     v = _poisson_solve(spec, _boundary_term(boundary), _poisson_eigs(spec))
@@ -326,13 +327,14 @@ def solve(p: PdeProblem) -> SurfaceData:
     y-constant, the periodic stencil's y-terms vanish on such vectors
     whatever ny is, the preconditioner acts on them through its y = 0
     Fourier mode alone, whose eigenvalues do not depend on ny, and the sup
-    residuals are the same maxima.  The Eisenstat-Walker ratio and MINRES's
-    stopping tests are ratios of inner products that replicating columns
-    scales alike, once MINRES sees the full grid's |b| (see _newton).  Only
-    the order of the pairwise sums and of the FFT changes, so u moves at
-    rounding level.  The invariant strips of criterion 03 and `minsurf
-    solve` (invariant_strip_problem) take this path; every other problem,
-    a rectangle or a cylinder with y-dependent edge data, is solved on the
+    residuals are the same maxima.  The Eisenstat-Walker ratio is a ratio
+    of norms that replicating columns scales alike, and MINRES is handed F
+    at unit 2-norm on either grid (see _newton), so its recurrences and
+    stopping tests see the same numbers.  Only the order of the pairwise
+    sums and of the FFT changes, so u moves at rounding level.  The
+    invariant strips of criterion 03 and `minsurf solve`
+    (invariant_strip_problem) take this path; every other problem, a
+    rectangle or a cylinder with y-dependent edge data, is solved on the
     full grid.
     """
     spec = p.spec
@@ -340,7 +342,7 @@ def solve(p: PdeProblem) -> SurfaceData:
         column = replace(spec, ny=3)
         u_col = _newton(PdeProblem(
             column, ScalarField(column, p.boundary.values[:, :3]),
-            p.tol_residual), weight=spec.ny / 3)
+            p.tol_residual))
         u = p.boundary.values.copy()
         u[1:-1] = u_col[1:-1, :1]
     else:
@@ -349,18 +351,18 @@ def solve(p: PdeProblem) -> SurfaceData:
     return SurfaceData(ScalarField(spec, u), weakly_bounded=weak)
 
 
-def _newton(p: PdeProblem, weight: float = 1.0) -> np.ndarray:
-    """solve's Newton-MINRES iteration on p's own grid; returns u on every
-    node, the Dirichlet data on the edges.
+def _newton(p: PdeProblem) -> np.ndarray:
+    """solve's Newton-MINRES iteration on p's own grid, started from the
+    harmonic extension of the boundary data (computed here, as
+    harmonic_extension does); returns u on every node, the Dirichlet data
+    on the edges.
 
-    weight is the number of columns each of p's columns stands for (ny / 3
-    for the column of a y-invariant cylinder).  MINRES is handed the
-    right-hand side times sqrt(weight) and its solution is divided by the
-    same: MINRES is homogeneous in b, except that its |A| estimate starts
-    from |b|, so this makes its stopping tests those of the full grid.
+    MINRES is handed F / |F|_2 and its solution is multiplied by |F|_2.
+    MINRES is homogeneous in b, except that its |A| estimate starts from
+    |b|; at unit norm that start, and so every stopping test, is the same
+    for a y-invariant column as for the full grid it stands for.
     """
     spec = p.spec
-    scale = math.sqrt(weight)
     b = _boundary_term(p.boundary)
     eigs = _poisson_eigs(spec)  # each step only adds its shift
     v = _poisson_solve(spec, b, eigs)
@@ -397,9 +399,9 @@ def _newton(p: PdeProblem, weight: float = 1.0) -> np.ndarray:
 
         lam_s = eigs + max(float(np.mean(dg)), 0.0)
         step, info, its = _minres(
-            lambda x: dg * x - _apply_laplacian(spec, x), scale * res_vec,
+            lambda x: dg * x - _apply_laplacian(spec, x), res_vec / norm_f,
             lambda r: _poisson_solve(spec, r, lam_s), eta, _MINRES_MAXITER)
-        step /= scale
+        step *= norm_f
 
         lam = 1.0
         accepted = False

@@ -34,7 +34,6 @@ _TOL_Z = 1e-8
 __all__ = [
     "cov_hessian",
     "hessian_11",
-    "metric_rate",
     "metric_inverse_rate",
     "second_form_rate",
     "shape_rate",
@@ -70,12 +69,6 @@ def hessian_11(s: SurfaceData, f: ScalarField) -> OperatorField:
     """Hessian with one index raised by I^{-1} = e^{-2u} Id."""
     H = cov_hessian(s, f)
     return H * np.exp(-2.0 * s.u.values)
-
-
-def metric_rate(s: SurfaceData, f: ScalarField) -> OperatorField:
-    """dI/dt = -2 f II."""
-    _, II, _ = embedding_data(s)
-    return II * (-2.0 * f.values)
 
 
 def metric_inverse_rate(s: SurfaceData, f: ScalarField) -> OperatorField:

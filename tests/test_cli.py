@@ -95,9 +95,11 @@ class TestSolve:
         u = ScalarField.from_csv(csv)
         assert u.spec.nx == 33 and u.spec.ny == 32
 
-    def test_width_beyond_maximal_strip_is_usage_error(self, tmp_path):
+    def test_width_beyond_maximal_strip_is_usage_error(self, tmp_path,
+                                                       capsys):
         assert run(["solve", "--width", "3.0",
                     "--out", str(tmp_path / "r.json")]) == 64
+        assert "DomainExceedsDelta" in capsys.readouterr().err
 
     def test_strip_edge_past_095_delta_is_solved(self, tmp_path):
         # width/2 = 1.25 lies between 0.95 delta(0) = 1.2455 and delta(0) =
@@ -202,11 +204,26 @@ class TestZlocus:
     @pytest.mark.parametrize("edit", [
         lambda head: {k: v for k, v in head.items() if k != "nx"},
         lambda head: list(head.values()),
-    ], ids=["missing-key", "json-list"])
+        lambda head: {k: v for k, v in head.items() if k != "periodic_y"},
+        lambda head: {k: v for k, v in head.items() if k != "origin"},
+        lambda head: {**head, "periodic_y": "false"},
+        lambda head: {**head, "periodic_y": "no"},
+        lambda head: {**head, "periodic_y": 0},
+        lambda head: {**head, "nx": 5.9},
+        lambda head: {**head, "nx": float(head["nx"])},
+        lambda head: {**head, "ny": True},
+        lambda head: {**head, "hx": str(head["hx"])},
+        lambda head: {**head, "origin": head["origin"][:1]},
+        lambda head: {**head, "origin": [False, 0.0]},
+    ], ids=["missing-key", "json-list", "missing-periodic", "missing-origin",
+            "periodic-string-false", "periodic-string-no", "periodic-int",
+            "nx-fraction", "nx-float", "ny-bool", "hx-string",
+            "origin-short", "origin-bool"])
     def test_bad_grid_header_is_usage_error(self, solved_csv, tmp_path,
                                             capsys, edit):
         # valid JSON that is not a grid must not escape as a traceback
-        # (exit 1 is the verification-failure code)
+        # (exit 1 is the verification-failure code), and no value is
+        # coerced: "false" is not false, 5.9 is not 5
         bad = tmp_path / "header.csv"
         lines = solved_csv.read_text().splitlines()
         lines[0] = "# " + json.dumps(edit(json.loads(lines[0][2:])))

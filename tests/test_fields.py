@@ -35,7 +35,6 @@ class TestGridSpec:
         s = spec_np()
         assert s.xs[0] == -0.5 and s.shape == (21, 17)
         assert np.allclose(np.diff(s.xs), 0.05)
-        assert s.width == pytest.approx(1.0)
 
     def test_period(self):
         s = spec_per()
@@ -181,11 +180,6 @@ class TestOperatorField:
         A = OperatorField.from_components(s, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ZeroDivisionError):
             A.inverse()
-
-    def test_symmetry_flag(self):
-        s = spec_np(4, 4)
-        assert OperatorField.from_components(s, 1.0, 0.5, 0.5, 2.0).is_symmetric()
-        assert not OperatorField.from_components(s, 1, 0.5, -0.5, 2).is_symmetric()
 
     def test_scalarfield_multiplication(self):
         s = spec_np(6, 6)

@@ -55,11 +55,6 @@ class TestIntegrate:
         assert np.allclose(sol0.g_at(-xs), sol0.g_at(xs))
         assert np.allclose(sol0.gp_at(-xs), -np.asarray(sol0.gp_at(xs)))
 
-    def test_samples_shape(self, sol0):
-        s = sol0.samples
-        assert s.ndim == 2 and s.shape[1] == 3
-        assert s[0, 0] == 0.0 and s[-1, 0] == pytest.approx(sol0.x_max)
-
     def test_first_integral(self, sol0, sol05):
         # (g')^2 - 2 sinh(2g) is conserved at the integrator's accuracy
         assert iode.first_integral_residual(sol0) <= 1e-8

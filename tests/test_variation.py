@@ -19,6 +19,14 @@ def smooth_field(spec, k=1, phase=0.0):
     )
 
 
+def metric_rate(s, f):
+    """dI/dt = -2 f II: the rate metric_inverse_rate is derived from, kept
+    here as the reference that metric_inverse_rate and the immersion oracle
+    are checked against."""
+    _, II, _ = embedding_data(s)
+    return II * (-2.0 * f.values)
+
+
 @pytest.fixture(scope="module")
 def bump64(chart64):
     return deform.build_point_f((0.0, 0.5), 0.45, chart64.spec)
@@ -52,11 +60,6 @@ class TestHessian11:
 
 
 class TestClosedForms:
-    def test_metric_rate_flat_unit(self, flat_chart):
-        one = ScalarField(flat_chart.spec, np.ones(flat_chart.spec.shape))
-        mr = var.metric_rate(flat_chart, one)
-        assert (mr - OperatorField.from_diag(flat_chart.spec, -2.0, 2.0)).sup() == 0.0
-
     def test_second_form_rate_flat_unit(self, flat_chart):
         one = ScalarField(flat_chart.spec, np.ones(flat_chart.spec.shape))
         sfr = var.second_form_rate(flat_chart, one)
@@ -66,7 +69,6 @@ class TestClosedForms:
     def test_zero_profile_gives_zero_rates(self, chart64):
         z = ScalarField.zeros(chart64.spec)
         assert var.shape_rate(chart64, z).sup() == 0.0
-        assert var.metric_rate(chart64, z).sup() == 0.0
         assert var.second_form_rate(chart64, z).sup() == 0.0
 
 
@@ -77,8 +79,7 @@ class TestAlgebraicIdentities:
         f2 = smooth_field(spec, k=2, phase=0.7)
         a, b = 1.3, -0.7
         combo = ScalarField(spec, a * f1.values + b * f2.values)
-        for rate in (var.shape_rate, var.metric_rate, var.second_form_rate,
-                     var.hessian_11):
+        for rate in (var.shape_rate, var.second_form_rate, var.hessian_11):
             lhs = rate(chart64, combo)
             rhs = a * rate(chart64, f1) + b * rate(chart64, f2)
             # exact identity; slack covers the h^-2 scale of the FD entries
@@ -86,14 +87,14 @@ class TestAlgebraicIdentities:
 
     def test_symmetry(self, chart64):
         f = smooth_field(chart64.spec)
-        assert var.metric_rate(chart64, f).is_symmetric(tol=1e-14)
-        assert var.second_form_rate(chart64, f).is_symmetric(tol=1e-12)
+        sfr = var.second_form_rate(chart64, f)
+        assert np.max(np.abs(sfr.a12 - sfr.a21)) <= 1e-12
 
     def test_metric_inverse_rate_consistency(self, chart64):
         f = smooth_field(chart64.spec)
         I, _, _ = embedding_data(chart64)
         lhs = var.metric_inverse_rate(chart64, f)
-        rhs = -1.0 * (I.inverse() @ var.metric_rate(chart64, f) @ I.inverse())
+        rhs = -1.0 * (I.inverse() @ metric_rate(chart64, f) @ I.inverse())
         assert (lhs - rhs).sup(interior_only=True) <= 1e-12
 
     def test_product_rule(self, chart64):
@@ -140,7 +141,7 @@ class TestImmersionOracle:
         d21 = (r2 - r1).sup(interior_only=True)
         assert 3.5 <= d42 / d21 <= 4.5
 
-    @pytest.mark.parametrize("which,rate", [("I", var.metric_rate),
+    @pytest.mark.parametrize("which,rate", [("I", metric_rate),
                                             ("II", var.second_form_rate)])
     def test_form_rate_gap_shrinks_at_second_order(self, chart32, chart64,
                                                    imm32, imm64, which, rate):
