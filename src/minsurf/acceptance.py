@@ -120,9 +120,9 @@ def _immersed(n: int):
     return immerse(_chart(n))
 
 
+@lru_cache(maxsize=None)
 def _curvatures(n: int, t: float):
-    """Principal curvatures of _chart(n) flowed by t * _bump(n).  Not
-    cached: each result holds its shape operator."""
+    """Principal curvatures of _chart(n) flowed by t * _bump(n)."""
     _, _, B = forms_from_immersion(normal_flow(_immersed(n), _bump(n), t))
     return principal_curvatures(B)
 

@@ -56,6 +56,8 @@ class GridSpec:
         if not (self.hx > 0 and self.hy > 0):
             raise ValueError("grid spacings must be positive")
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
+        if not np.all(np.isfinite([self.hx, self.hy, *self.origin])):
+            raise ValueError("grid spacings and origin must be finite")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -247,9 +249,6 @@ class OperatorField:
     @property
     def a22(self) -> np.ndarray:
         return self.mat[..., 1, 1]
-
-    def trace(self) -> np.ndarray:
-        return self.a11 + self.a22
 
     def det(self) -> np.ndarray:
         return self.a11 * self.a22 - self.a12 * self.a21

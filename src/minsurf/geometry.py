@@ -13,12 +13,14 @@ Gauss equation reduces to the cosh-Gordon equation
 
 The locus Z = {u = 0} is where |principal curvature| = 1; on a weakly bounded
 chart (u >= 0) it is the closure of the curvature-extreme set.
+
+principal_curvatures gives the eigenvalue fields alone; principal_frames
+builds eigenframes of stacked 2x2 matrices (a grid, or one node) on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "embedding_data",
     "third_form",
     "principal_curvatures",
+    "principal_frames",
     "gauss_residual",
     "christoffel",
 ]
@@ -86,36 +89,24 @@ def third_form(s: SurfaceData) -> OperatorField:
 
 @dataclass(frozen=True)
 class PrincipalCurvatures:
-    """Eigen-data of a shape operator field B.
-
-    The eigenvalues and `defined` are computed on construction; the
-    eigenframe is computed on first read of e_plus / e_minus.  These are
-    unit eigenvectors (w.r.t. `metric`, else Euclidean), fixed by the sign
-    convention: nonnegative x-component, ties broken by nonnegative
-    y-component. `defined` is False at (near-)umbilic nodes, where the frame
-    entries fall back to the coordinate axes.
-    """
+    """Eigenvalues lambda_plus >= lambda_minus of a shape operator field;
+    no reference to the operator is kept (frames: principal_frames)."""
 
     lambda_plus: ScalarField
     lambda_minus: ScalarField
-    defined: np.ndarray = field(repr=False)
-    B: OperatorField = field(repr=False)
-    metric: OperatorField | None = field(default=None, repr=False)
 
-    @cached_property
-    def e_plus(self) -> np.ndarray:
-        return self._frame(self.lambda_plus.values, (1.0, 0.0))
 
-    @cached_property
-    def e_minus(self) -> np.ndarray:
-        return self._frame(self.lambda_minus.values, (0.0, 1.0))
-
-    def _frame(self, lam, axis) -> np.ndarray:
-        B = self.B
-        v = _fix_sign(_metric_normalize(
-            _eigvec(B.a11, B.a12, B.a21, B.a22, lam), self.metric))
-        fallback = _metric_normalize(np.broadcast_to(axis, v.shape), self.metric)
-        return np.where(self.defined[..., None], v, fallback)
+def _eigenvalues(m: np.ndarray):
+    """lambda+, lambda- and discriminant tr^2 - 4 det of stacked 2x2 matrices
+    m[..., 2, 2]; ComplexEigenvalues if it is below -UMBILIC_TOL anywhere."""
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    tr = a + d
+    disc = tr * tr - 4.0 * (a * d - b * c)
+    dmin = float(disc.min())
+    if dmin < -UMBILIC_TOL:
+        raise ComplexEigenvalues(dmin)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    return 0.5 * (tr + sq), 0.5 * (tr - sq), disc
 
 
 def _eigvec(a, b, c, d, lam) -> np.ndarray:
@@ -134,10 +125,9 @@ def _eigvec(a, b, c, d, lam) -> np.ndarray:
     return np.stack([x, y], axis=-1)
 
 
-def _metric_normalize(v: np.ndarray, metric: OperatorField | None) -> np.ndarray:
-    if metric is None:
+def _metric_normalize(v: np.ndarray, g: np.ndarray | None) -> np.ndarray:
+    if g is None:
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
-    g = metric.mat
     q = (
         g[..., 0, 0] * v[..., 0] ** 2
         + (g[..., 0, 1] + g[..., 1, 0]) * v[..., 0] * v[..., 1]
@@ -151,32 +141,36 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return np.where(flip[..., None], -v, v)
 
 
-def principal_curvatures(
-    B: OperatorField,
-    metric: OperatorField | None = None,
-) -> PrincipalCurvatures:
-    """Eigenvalues of the shape operator field, eigenframe on demand.
+def principal_curvatures(B: OperatorField) -> PrincipalCurvatures:
+    """Eigenvalue fields of B.  Raises ComplexEigenvalues if tr^2 - 4 det
+    drops below -UMBILIC_TOL anywhere."""
+    lam_plus, lam_minus, _ = _eigenvalues(B.mat)
+    return PrincipalCurvatures(lambda_plus=ScalarField(B.spec, lam_plus),
+                               lambda_minus=ScalarField(B.spec, lam_minus))
 
-    Raises ComplexEigenvalues if the discriminant tr^2 - 4 det drops below
-    -UMBILIC_TOL anywhere; near-umbilic nodes (discriminant below
-    +UMBILIC_TOL) keep their eigenvalues but are flagged undefined in the
-    frame.
+
+def principal_frames(B: np.ndarray, metric: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenframe (e_plus, e_minus, defined) of stacked 2x2 matrices.
+
+    B and metric are (..., 2, 2) arrays: a grid's OperatorField.mat, or one
+    node's matrix.  e_plus and e_minus (shape (..., 2)) are unit vectors
+    w.r.t. metric, else Euclidean, fixed by the sign convention: nonnegative
+    x-component, ties broken by nonnegative y-component.  defined is False
+    at (near-)umbilic nodes, where the discriminant is at most UMBILIC_TOL;
+    there the frame falls back to the coordinate axes.  Raises
+    ComplexEigenvalues as principal_curvatures does.
     """
-    tr = B.trace()
-    det = B.det()
-    disc = tr * tr - 4.0 * det
-    dmin = float(disc.min())
-    if dmin < -UMBILIC_TOL:
-        raise ComplexEigenvalues(dmin)
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    spec = B.spec
-    return PrincipalCurvatures(
-        lambda_plus=ScalarField(spec, 0.5 * (tr + sq)),
-        lambda_minus=ScalarField(spec, 0.5 * (tr - sq)),
-        defined=disc > UMBILIC_TOL,
-        B=B,
-        metric=metric,
-    )
+    lam_plus, lam_minus, disc = _eigenvalues(B)
+    defined = disc > UMBILIC_TOL
+    a, b, c, d = B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1]
+
+    def frame(lam, axis):
+        v = _fix_sign(_metric_normalize(_eigvec(a, b, c, d, lam), metric))
+        fallback = _metric_normalize(np.broadcast_to(axis, v.shape), metric)
+        return np.where(defined[..., None], v, fallback)
+
+    return frame(lam_plus, (1.0, 0.0)), frame(lam_minus, (0.0, 1.0)), defined
 
 
 def gauss_residual(s: SurfaceData) -> ScalarField:

@@ -8,10 +8,11 @@ the embedding data along the flow sigma + (tf) nu are, in chart coordinates,
     dB/dt   = Hess^{(1,1)} f + f (B^2 - Id)
 
 with Hess^{(1,1)} = I^{-1} Hess f.  Because the chart metric is conformal and
-II = diag(1, -1), the trace of dB/dt against the eigenframe of B yields the
-rate of change of the principal curvatures; on the locus Z = {u = 0} where
-B^2 = Id, that rate is just the Hessian diagonal in the eigenframe, which is
-what the deformation construction drives negative.
+II = diag(1, -1), the trace of dB/dt against the eigenframe of B
+(geometry.principal_frames) yields the rate of change of the principal
+curvatures; on the locus Z = {u = 0} where B^2 = Id, that rate is just the
+Hessian diagonal in the eigenframe, which is what the deformation
+construction drives negative.
 
 Every formula here is checked against an independent oracle that flows the
 immersion by +-t, recovers the forms by finite differences, and central-
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import NotOnZ
 from .fields import OperatorField, ScalarField, diff1, diff2
 from .geometry import (SurfaceData, christoffel, embedding_data,
-                       principal_curvatures, third_form)
+                       principal_frames, third_form)
 from .immersion import ImmersionGrid, forms_from_immersion, normal_flow
 
 # |u| at a node above which curvature_rate_at_Z refuses it as off the locus
@@ -103,8 +104,8 @@ def curvature_rate_at_Z(
     """Rates of the principal curvatures at a zero-locus node.
 
     At u = 0 the shape operator is diag(1, -1) with I-unit eigenframe e+, e-
-    (principal_curvatures' frame with I as the metric); the eigenvalue rates
-    are the diagonal Hessian entries
+    (principal_frames of the node's B with I as the metric); the eigenvalue
+    rates are the diagonal Hessian entries
     (d lambda_+/dt, d lambda_-/dt) = (Hess f(e+, e+), Hess f(e-, e-)).
     Raises NotOnZ when |u(node)| > 1e-8.
     """
@@ -113,8 +114,7 @@ def curvature_rate_at_Z(
     if abs(uval) > _TOL_Z:
         raise NotOnZ(f"u[{i},{j}] = {uval:.3e} exceeds tol_z = {_TOL_Z:.1e}")
     I, _, B = embedding_data(s)
-    pc = principal_curvatures(B, metric=I)
-    ep, em = pc.e_plus[i, j], pc.e_minus[i, j]
+    ep, em, _ = principal_frames(B.mat[i, j], I.mat[i, j])
     H = cov_hessian(s, f).mat[i, j]
     return float(ep @ H @ ep), float(em @ H @ em)
 

@@ -215,10 +215,14 @@ class TestZlocus:
         lambda head: {**head, "hx": str(head["hx"])},
         lambda head: {**head, "origin": head["origin"][:1]},
         lambda head: {**head, "origin": [False, 0.0]},
+        lambda head: {**head, "hx": float("inf")},
+        lambda head: {**head, "hy": float("nan")},
+        lambda head: {**head, "origin": [float("-inf"), 0.0]},
     ], ids=["missing-key", "json-list", "missing-periodic", "missing-origin",
             "periodic-string-false", "periodic-string-no", "periodic-int",
             "nx-fraction", "nx-float", "ny-bool", "hx-string",
-            "origin-short", "origin-bool"])
+            "origin-short", "origin-bool", "hx-infinity", "hy-nan",
+            "origin-infinity"])
     def test_bad_grid_header_is_usage_error(self, solved_csv, tmp_path,
                                             capsys, edit):
         # valid JSON that is not a grid must not escape as a traceback
@@ -610,7 +614,9 @@ class TestDemo:
             flows.append((g.spec.ny, t))
             return inner(g, f, t)
 
-        # the demo flows through acceptance._curvatures
+        # the demo flows through acceptance._curvatures, whose cache is
+        # shared across the session: start it empty
+        acceptance._curvatures.cache_clear()
         monkeypatch.setattr(acceptance, "normal_flow", counted)
         out = tmp_path / "demo.json"
         assert run(["demo", "--fine", "64", "--out", str(out)]) == 0

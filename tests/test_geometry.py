@@ -1,12 +1,14 @@
 """Fundamental forms, principal curvatures, Christoffel symbols."""
 
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from minsurf import geometry
 from minsurf.fields import GridSpec, OperatorField, ScalarField
 from minsurf.geometry import (
     SurfaceData,
@@ -14,6 +16,7 @@ from minsurf.geometry import (
     embedding_data,
     gauss_residual,
     principal_curvatures,
+    principal_frames,
     third_form,
 )
 from minsurf.errors import ComplexEigenvalues
@@ -94,9 +97,10 @@ class TestPrincipalCurvatures:
         pc = principal_curvatures(B)
         assert np.allclose(pc.lambda_plus.values, 2.0)
         assert np.allclose(pc.lambda_minus.values, 1.0)
-        assert pc.defined.all()
-        assert np.allclose(np.abs(pc.e_plus[..., 0]), 1.0)
-        assert np.allclose(pc.e_plus[..., 1], 0.0)
+        e_plus, _, defined = principal_frames(B.mat)
+        assert defined.all()
+        assert np.allclose(np.abs(e_plus[..., 0]), 1.0)
+        assert np.allclose(e_plus[..., 1], 0.0)
 
     def test_rotated_operator(self):
         th = 0.3
@@ -110,14 +114,13 @@ class TestPrincipalCurvatures:
         assert np.allclose(pc.lambda_plus.values, 1.5)
         assert np.allclose(pc.lambda_minus.values, -0.5)
         # eigenvector defined up to sign
-        v = pc.e_plus[0, 0]
+        v = principal_frames(B.mat)[0][0, 0]
         assert min(np.linalg.norm(v - R[:, 0]),
                    np.linalg.norm(v + R[:, 0])) <= 1e-12
 
     def test_metric_normalization(self, chart64):
         I, _, B = embedding_data(chart64)
-        pc = principal_curvatures(B, metric=I)
-        v = pc.e_plus
+        v, _, _ = principal_frames(B.mat, I.mat)
         quad = (I.a11 * v[..., 0] ** 2 + 2 * I.a12 * v[..., 0] * v[..., 1]
                 + I.a22 * v[..., 1] ** 2)
         assert np.allclose(quad, 1.0)
@@ -133,8 +136,8 @@ class TestPrincipalCurvatures:
 
     def test_near_umbilic_flagged(self):
         B = OperatorField.from_diag(self.spec(), 1.0, 1.0 + 1e-9)
-        pc = principal_curvatures(B)
-        assert not pc.defined.any()
+        _, _, defined = principal_frames(B.mat)
+        assert not defined.any()
 
     def test_complex_eigenvalues_raise(self):
         B = OperatorField.from_components(self.spec(), 0.0, -1.0, 1.0, 0.0)
@@ -159,13 +162,13 @@ class TestPrincipalCurvatures:
             c * s * (l1 - l2), s * s * l1 + c * c * l2)
         p, q, r = draw(-1.0, 1.0), draw(-1.0, 1.0), draw(-1.0, 1.0)
         II = OperatorField.from_components(spec, p, q, q, r)
-        pc = principal_curvatures(I.inverse() @ II, metric=I)
+        pc = principal_curvatures(I.inverse() @ II)
         assert np.all(pc.lambda_minus.values <= pc.lambda_plus.values)
 
 
 def eager_frame(B, lam, metric, axis, defined):
-    """The eigenframe as principal_curvatures built it before frames became
-    lazy: norm-based row pick, metric normalization, sign fix, axis fallback."""
+    """Reference eigenframe, written out on OperatorFields: norm-based row
+    pick, metric normalization, sign fix, axis fallback."""
     a, b, c, d = B.a11, B.a12, B.a21, B.a22
     v1 = np.stack([b, lam - a], axis=-1)
     v2 = np.stack([lam - d, c], axis=-1)
@@ -193,35 +196,41 @@ def eager_frame(B, lam, metric, axis, defined):
     return np.where(defined[..., None], v, fallback)
 
 
-class TestLazyFrames:
+class TestPrincipalFrames:
     def spec(self):
         return GridSpec(nx=4, ny=5, hx=0.1, hy=0.1, periodic_y=False)
 
-    def test_eigenvalues_alone_never_build_frames(self, chart64, monkeypatch):
-        calls = []
-        inner = geometry._eigvec
+    def test_record_holds_only_eigenvalues(self, chart64):
+        _, _, B = embedding_data(chart64)
+        pc = principal_curvatures(B)
+        assert ([f.name for f in dataclasses.fields(pc)]
+                == ["lambda_plus", "lambda_minus"])
+        assert pc.lambda_plus.values.shape == chart64.spec.shape
+        # the record does not keep the shape operator alive
+        mat = weakref.ref(B.mat)
+        del B
+        assert mat() is None
+        assert pc.lambda_minus.values.shape == chart64.spec.shape
 
-        def counted(*args):
-            calls.append(1)
-            return inner(*args)
-
-        monkeypatch.setattr(geometry, "_eigvec", counted)
-        I, _, B = embedding_data(chart64)
-        for metric in (None, I):
-            pc = principal_curvatures(B, metric=metric)
-            assert pc.lambda_plus.values.shape == chart64.spec.shape
-            assert pc.lambda_minus.values.shape == chart64.spec.shape
-            assert pc.defined.shape == chart64.spec.shape
-        assert calls == []
-        pc.e_plus
-        pc.e_plus
-        assert len(calls) == 1  # computed once, then cached
-        pc.e_minus
-        assert len(calls) == 2
+    def test_one_node_matches_the_grid(self):
+        # curvature_rate_at_Z builds the frame of one node's matrices
+        rng = np.random.default_rng(7)
+        spec = self.spec()
+        g = rng.uniform(0.5, 2.0, spec.shape)
+        p, q, r = (rng.uniform(-1.0, 1.0, spec.shape) for _ in range(3))
+        I = OperatorField.from_components(spec, g, 0.1 * g, 0.1 * g, 1.5 * g)
+        B = I.inverse() @ OperatorField.from_components(spec, p, q, q, r)
+        for metric in (None, I.mat):
+            grid = principal_frames(B.mat, metric)
+            for i, j in np.ndindex(spec.shape):
+                node = principal_frames(
+                    B.mat[i, j], None if metric is None else metric[i, j])
+                for a, b in zip(node, grid):
+                    assert np.array_equal(a, b[i, j])
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), with_metric=st.booleans())
-    def test_lazy_frames_equal_eager_construction(self, data, with_metric):
+    def test_frames_equal_eager_construction(self, data, with_metric):
         # B = I^-1 II with I positive definite and II symmetric has real
         # eigenvalues; II = k I on the drawn umbilic nodes
         spec = self.spec()
@@ -242,22 +251,24 @@ class TestLazyFrames:
             np.where(umbilic, k * g[1], q), np.where(umbilic, k * g[2], r))
         B = I.inverse() @ II
         metric = I if with_metric else None
-        pc = principal_curvatures(B, metric=metric)
-        assert not pc.defined[umbilic].any()
-        disc = B.trace() ** 2 - 4.0 * B.det()
+        pc = principal_curvatures(B)
+        e_plus, e_minus, defined = principal_frames(
+            B.mat, None if metric is None else metric.mat)
+        assert not defined[umbilic].any()
+        disc = (B.a11 + B.a22) ** 2 - 4.0 * B.det()
         separated = disc > 1e-6
-        for lazy, lam, axis in ((pc.e_plus, pc.lambda_plus, (1.0, 0.0)),
-                                (pc.e_minus, pc.lambda_minus, (0.0, 1.0))):
-            eager = eager_frame(B, lam.values, metric, axis, pc.defined)
+        for frame, lam, axis in ((e_plus, pc.lambda_plus, (1.0, 0.0)),
+                                 (e_minus, pc.lambda_minus, (0.0, 1.0))):
+            eager = eager_frame(B, lam.values, metric, axis, defined)
             # undefined nodes take the same axis fallback, bit for bit
-            assert np.array_equal(lazy[~pc.defined], eager[~pc.defined])
+            assert np.array_equal(frame[~defined], eager[~defined])
             # separated nodes agree to rounding; the sign convention can
             # only differ where the x-component itself is at rounding level
-            diff = np.minimum(np.abs(lazy - eager).max(axis=-1),
-                              np.abs(lazy + eager).max(axis=-1))
+            diff = np.minimum(np.abs(frame - eager).max(axis=-1),
+                              np.abs(frame + eager).max(axis=-1))
             assert np.all(diff[separated] <= 1e-9)
             clear = separated & (np.abs(eager[..., 0]) > 1e-6)
-            assert np.allclose(lazy[clear], eager[clear], rtol=0, atol=1e-9)
+            assert np.allclose(frame[clear], eager[clear], rtol=0, atol=1e-9)
 
 
 class TestChristoffel:

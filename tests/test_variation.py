@@ -118,7 +118,7 @@ class TestAlgebraicIdentities:
         sr = var.shape_rate(chart64, bump64)
         lap = laplacian(bump64)
         i0 = 32
-        assert np.max(np.abs(sr.trace()[i0] - lap.values[i0])) <= 1e-12
+        assert np.max(np.abs((sr.a11 + sr.a22)[i0] - lap.values[i0])) <= 1e-12
 
 
 class TestImmersionOracle:
