@@ -377,8 +377,8 @@ def cmd_flow(args) -> int:
 
     s = _surface_from_args(args)
     f = build_point_f(args.bump_center, args.bump_r, s.spec)
-    g = immerse(s)
-    g2 = normal_flow(g, f, args.t)
+    # the unflowed immersion is freed once flowed, before forms are recovered
+    g2 = normal_flow(immerse(s), f, args.t)
     if args.csv:
         g2.to_csv(args.csv)
     _, _, B = forms_from_immersion(g2)

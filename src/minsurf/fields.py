@@ -134,9 +134,14 @@ class GridSpec:
 
 
 def _as_grid_array(values, shape: tuple, name: str) -> np.ndarray:
-    """Read-only C-ordered float copy of per-node values, checked for shape
-    and finiteness."""
-    a = np.array(values, dtype=float, copy=True, order="C")
+    """Per-node values as a read-only C-ordered float64 array, checked for
+    shape and finiteness.  Such an array that owns its data is kept (the
+    flow kernels freeze their outputs for this); anything else is copied."""
+    a = values
+    if not (type(a) is np.ndarray and a.dtype == np.float64
+            and a.flags.owndata and a.flags.c_contiguous
+            and not a.flags.writeable):
+        a = np.array(values, dtype=float, copy=True, order="C")
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, grid wants {shape}")
     if not np.all(np.isfinite(a)):

@@ -24,6 +24,9 @@ rounding level without changing the order of the method.  normal_flow
 re-imposes only the constraints on what it returns, sigma' and nu': its
 normal is a cross product with the tangents, orthogonal to them by
 construction, and the tangents themselves are discarded unprojected.
+normal_flow and forms_from_immersion sweep the grid in row slabs, so only
+their outputs are full-size arrays; each node sees the operations of one
+whole-grid pass, so the bits do not depend on the slab size.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ _DRIFT_HARD = 1e-6  # abort threshold during integration
 _DRIFT_POST = 1e-9  # guaranteed after re-projection
 # chart residual, relative to the equation scale, above which immerse warns
 _WARN_RESIDUAL = 1e-2
+# nodes per row slab of normal_flow and forms_from_immersion (_row_slabs)
+_SLAB_NODES = 8192
 
 _ETA = np.array([-1.0, 1.0, 1.0, 1.0])
 
@@ -433,6 +438,19 @@ def _march(frame, ts, coeffs, out, rhs, sweep: str, parts=np.s_[:]):
 # derived quantities
 
 
+def _row_slabs(spec: GridSpec):
+    """Row slabs of about _SLAB_NODES nodes covering the grid, as slices:
+    the slab's rows; the window of rows its x-differences read, one halo row
+    each side and at least three, so that an edge's one-sided stencil is
+    whole; and the slab within the window."""
+    nx = spec.nx
+    step = max(1, _SLAB_NODES // spec.ny)
+    for i0 in range(0, nx, step):
+        i1 = min(i0 + step, nx)
+        lo, hi = max(0, min(i0 - 1, nx - 3)), min(nx, max(i1 + 1, 3))
+        yield slice(i0, i1), slice(lo, hi), slice(i0 - lo, i1 - lo)
+
+
 def normal_flow(g: ImmersionGrid, f: ScalarField, t: float) -> ImmersionGrid:
     """Flow each point a signed distance t*f along the surface normal.
 
@@ -440,46 +458,58 @@ def normal_flow(g: ImmersionGrid, f: ScalarField, t: float) -> ImmersionGrid:
     flowed normal is recovered from the flowed surface itself: central
     finite-difference tangents (one-sided at edges), Minkowski cross product,
     normalization, orientation matched to the transported normal
-    sinh(tf) sigma + cosh(tf) nu.  The minimum tangent Gram determinant is
-    logged at DEBUG on the "minsurf.immersion" logger.
+    sinh(tf) sigma + cosh(tf) nu.  The grid's minimum tangent Gram
+    determinant is logged at DEBUG on the "minsurf.immersion" logger.
 
     Only what is returned is re-constrained: sigma' is normalized to
     <sigma', sigma'> = -1 and the rounding-level sigma'-component of the
     normal is stripped.  The cross product is orthogonal to sigma' and to
     both tangents by construction, so the tangents, which are not returned,
     are not projected, and no Gram solve against them is needed.
+
+    Each row slab flows its window again for the x-tangents.  The checks
+    are gathered over the grid and raised after the sweep, in this order.
     """
     if f.spec != g.spec:
         raise ValueError("profile lives on a different grid")
     spec = g.spec
-    a = t * f.values[..., None]
-    ch, sh = np.cosh(a), np.sinh(a)
-    sigma1 = ch * g.sigma + sh * g.nu
+    sigma1, nu1 = np.empty(g.sigma.shape), np.empty(g.nu.shape)
+    gram_mins, failed = [], set()
+    for rows, win, inner in _row_slabs(spec):
+        a = t * f.values[win, :, None]
+        ch, sh = np.cosh(a), np.sinh(a)
+        s = ch * g.sigma[win] + sh * g.nu[win]
+        # ambient samples never wrap: the immersion of a periodic chart does
+        # not close up in H^3, so y-edges take one-sided stencils like x-edges
+        tx = diff1(s, spec.hx, axis=0)[inner]
+        ch, sh, s = ch[inner], sh[inner], s[inner]
+        ty = diff1(s, spec.hy, axis=1)
 
-    # ambient samples never wrap: the immersion of a periodic chart does not
-    # close up in H^3, so y-edges take one-sided stencils like x-edges
-    tx = diff1(sigma1, spec.hx, axis=0)
-    ty = diff1(sigma1, spec.hy, axis=1)
+        g11 = minkowski_dot(tx, tx)
+        g12 = minkowski_dot(tx, ty)
+        g22 = minkowski_dot(ty, ty)
+        gram_mins.append((g11 * g22 - g12 * g12).min())
 
-    g11 = minkowski_dot(tx, tx)
-    g12 = minkowski_dot(tx, ty)
-    g22 = minkowski_dot(ty, ty)
-    gram_min = float((g11 * g22 - g12 * g12).min())
+        s = np.divide(s, np.sqrt(-minkowski_dot(s, s))[..., None],
+                      out=sigma1[rows])
+        n = minkowski_normal(s, tx, ty)
+        n += minkowski_dot(n, s)[..., None] * s
+        nn = minkowski_dot(n, n)
+        orient = np.sign(minkowski_dot(n, sh * g.sigma[rows] + ch * g.nu[rows]))
+        failed |= {k for k, bad in (("g11", g11 <= 0), ("nn", nn <= 0),
+                                    ("orient", orient == 0)) if bad.any()}
+        if "nn" not in failed:
+            np.multiply(n, (orient / np.sqrt(nn))[..., None], out=nu1[rows])
+
+    gram_min = float(np.min(gram_mins))
     _log.debug("normal flow: min tangent Gram determinant %.3e", gram_min)
-    if np.any(g11 <= 0) or gram_min <= 0:
+    if "g11" in failed or gram_min <= 0:
         raise DegenerateTangents(f"min tangent Gram determinant {gram_min:.3e}")
-
-    sigma1 /= np.sqrt(-minkowski_dot(sigma1, sigma1))[..., None]
-    n = minkowski_normal(sigma1, tx, ty)
-    n += minkowski_dot(n, sigma1)[..., None] * sigma1
-    nn = minkowski_dot(n, n)
-    if np.any(nn <= 0):
+    if "nn" in failed:
         raise DegenerateTangents("recovered normal is not spacelike")
-    orient = np.sign(minkowski_dot(n, sh * g.sigma + ch * g.nu))
-    if np.any(orient == 0):
+    if "orient" in failed:
         raise DegenerateTangents("recovered normal orthogonal to transported normal")
-    n *= (orient / np.sqrt(nn))[..., None]
-    return ImmersionGrid(spec=spec, sigma=sigma1, nu=n)
+    return ImmersionGrid(spec=spec, sigma=_frozen(sigma1), nu=_frozen(nu1))
 
 
 def forms_from_immersion(
@@ -492,29 +522,41 @@ def forms_from_immersion(
     B = I^{-1} II.  The off-diagonal II entries agree only to O(h^2), so II
     is returned unsymmetrized.  Ambient samples never wrap periodically (the
     immersed strip does not close up), so y-edges use one-sided stencils.
+    SingularMetric reports the grid's minimum det I; once a row slab has
+    failed, the sweep computes only det I.
     """
     spec = g.spec
-    sx = diff1(g.sigma, spec.hx, axis=0)
-    sy = diff1(g.sigma, spec.hy, axis=1)
-    g12 = minkowski_dot(sx, sy)
-    I = OperatorField.from_components(
-        spec, minkowski_dot(sx, sx), g12, g12, minkowski_dot(sy, sy)
-    )
-    det = I.det()
-    if np.any(I.a11 <= 0) or np.any(det <= 0):
-        raise SingularMetric(
-            f"recovered metric not positive definite (min det {float(det.min()):.3e})"
-        )
-    # II and B are filled entry by entry: separate dot arrays raise the peak
-    dnu = (diff1(g.nu, spec.hx, axis=0), diff1(g.nu, spec.hy, axis=1))
-    ii = np.empty((*spec.shape, 2, 2))
-    for r, c in np.ndindex(2, 2):
-        ii[..., r, c] = -minkowski_dot(dnu[r], (sx, sy)[c])
-    del sx, sy, dnu  # B needs no ambient differences; freeing them caps the peak
-    # B = adj(I) II / det I, from views of both matrices
-    i, b = I.mat, np.empty_like(ii)
-    for r, c in np.ndindex(2, 2):
-        s = 1 - r
-        b[..., r, c] = i[..., s, s] * ii[..., r, c] - i[..., r, s] * ii[..., s, c]
-    b /= det[..., None, None]
-    return I, OperatorField(spec, ii), OperatorField(spec, b)
+    I, ii, b = (np.empty((*spec.shape, 2, 2)) for _ in range(3))
+    det_mins, singular = [], False
+    for rows, win, inner in _row_slabs(spec):
+        sx = diff1(g.sigma[win], spec.hx, axis=0)[inner]
+        sy = diff1(g.sigma[rows], spec.hy, axis=1)
+        i = I[rows]
+        i[..., 0, 0] = minkowski_dot(sx, sx)
+        i[..., 0, 1] = i[..., 1, 0] = minkowski_dot(sx, sy)
+        i[..., 1, 1] = minkowski_dot(sy, sy)
+        det = i[..., 0, 0] * i[..., 1, 1] - i[..., 0, 1] * i[..., 1, 0]
+        det_mins.append(det.min())
+        singular = singular or np.any(i[..., 0, 0] <= 0) or np.any(det <= 0)
+        if singular:
+            continue
+        dnu = (diff1(g.nu[win], spec.hx, axis=0)[inner],
+               diff1(g.nu[rows], spec.hy, axis=1))
+        ii_s, b_s = ii[rows], b[rows]
+        for r, c in np.ndindex(2, 2):
+            ii_s[..., r, c] = -minkowski_dot(dnu[r], (sx, sy)[c])
+        # B = adj(I) II / det I
+        for r, c in np.ndindex(2, 2):
+            s = 1 - r
+            b_s[..., r, c] = i[..., s, s] * ii_s[..., r, c] - i[..., r, s] * ii_s[..., s, c]
+        b_s /= det[..., None, None]
+    if singular:
+        raise SingularMetric("recovered metric not positive definite "
+                             f"(min det {float(np.min(det_mins)):.3e})")
+    return tuple(OperatorField(spec, _frozen(m)) for m in (I, ii, b))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a made read-only, for the grid or field built on it to adopt."""
+    a.setflags(write=False)
+    return a

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotOnZ
-from .fields import OperatorField, ScalarField, diff1, diff2
+from .fields import GridSpec, OperatorField, ScalarField, diff1, diff2
 from .geometry import (SurfaceData, christoffel, embedding_data,
                        principal_frames, third_form)
 from .immersion import ImmersionGrid, forms_from_immersion, normal_flow
@@ -107,12 +107,28 @@ def curvature_rate_at_Z(
     (principal_frames of the node's B with I as the metric); the eigenvalue
     rates are the diagonal Hessian entries
     (d lambda_+/dt, d lambda_-/dt) = (Hess f(e+, e+), Hess f(e-, e-)).
-    Raises NotOnZ when |u(node)| > 1e-8.
+    Raises NotOnZ when |u(node)| > 1e-8.  Evaluated on the node's
+    neighbourhood, bitwise as on the whole grid.
     """
     i, j = node
     uval = float(s.u.values[i, j])
     if abs(uval) > _TOL_Z:
         raise NotOnZ(f"u[{i},{j}] = {uval:.3e} exceeds tol_z = {_TOL_Z:.1e}")
+    if f.spec != s.spec:
+        raise ValueError("profile lives on a different grid")
+    # s and f on the nodes within 3 steps, clipped at edges and wrapped
+    # across a cylinder's seam: every stencil at the node, one-sided ones
+    # included, reads there what it reads on the whole grid
+    spec = s.spec
+    i, j = (range(n)[k] for k, n in zip(node, spec.shape))  # k < 0 counts back
+    rows = np.arange(max(0, i - 3), min(spec.nx, i + 4))
+    cols = (np.arange(j - 3, j + 4) if spec.periodic_y
+            else np.arange(max(0, j - 3), min(spec.ny, j + 4)))
+    win = GridSpec(rows.size, cols.size, spec.hx, spec.hy)
+    cut = np.ix_(rows, cols % spec.ny)
+    s = SurfaceData(ScalarField(win, s.u.values[cut]))
+    f = ScalarField(win, f.values[cut])
+    i, j = i - rows[0], j - cols[0]
     I, _, B = embedding_data(s)
     ep, em, _ = principal_frames(B.mat[i, j], I.mat[i, j])
     H = cov_hessian(s, f).mat[i, j]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,30 @@ class TestFlow:
         assert rep["lambda_plus"]["plateau_max"] < 1.0
         # flow computes no verdict, so it claims none
         assert "passed" not in rep
+
+    def test_unflowed_immersion_is_freed_before_forms(self, tmp_path,
+                                                      monkeypatch):
+        # only the flowed grid may be alive while forms_from_immersion
+        # allocates; the immersion it was flowed from is dead by then
+        from minsurf import immersion
+
+        refs, dead = [], []
+        immerse, forms = immersion.immerse, immersion.forms_from_immersion
+
+        def immerse_spy(s):
+            g = immerse(s)
+            refs.append(weakref.ref(g))
+            return g
+
+        def forms_spy(g):
+            dead.append(refs[0]() is None)
+            return forms(g)
+
+        monkeypatch.setattr(immersion, "immerse", immerse_spy)
+        monkeypatch.setattr(immersion, "forms_from_immersion", forms_spy)
+        assert run(["flow", "--nx", "33", "--ny", "32", "--t", "1e-3",
+                    "--out", str(tmp_path / "f.json")]) == 0
+        assert dead == [True]
 
     def test_negative_time_opens_curvatures(self, tmp_path):
         out = tmp_path / "f.json"

@@ -165,6 +165,50 @@ class TestScalarField:
         assert np.array_equal(g.values, f.values)
 
 
+def frozen(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+class TestGridArrays:
+    """Fields adopt an owned, read-only C-ordered float64 array of the
+    grid's shape; they copy anything else."""
+
+    def test_owned_read_only_array_is_kept(self):
+        s = spec_np(4, 5)
+        a = frozen(np.arange(20.0).reshape(4, 5))
+        assert ScalarField(s, a).values is a
+        m = frozen(np.ones((4, 5, 2, 2)))
+        assert OperatorField(s, m).mat is m
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a,                                  # writable
+        lambda a: frozen(a)[:, :],                    # a view
+        lambda a: frozen(np.asfortranarray(a)),       # not C-ordered
+        lambda a: frozen(a).astype(np.float32),       # not float64
+    ], ids=["writable", "view", "fortran", "float32"])
+    def test_anything_else_is_copied(self, make):
+        s = spec_np(4, 5)
+        a = make(np.arange(20.0).reshape(4, 5))
+        f = ScalarField(s, a)
+        assert f.values is not a and not np.shares_memory(f.values, a)
+        assert not f.values.flags.writeable
+        assert np.array_equal(f.values, np.arange(20.0).reshape(4, 5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_kept_array_is_still_scanned(self, bad):
+        s = spec_np(4, 5)
+        a = np.zeros(s.shape)
+        a[3, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ScalarField(s, frozen(a))
+
+    def test_kept_array_is_still_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            ScalarField(spec_np(4, 5), frozen(np.zeros((5, 4))))
+
+
 class TestOperatorField:
     def test_algebra(self):
         s = spec_np(6, 6)

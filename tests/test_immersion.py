@@ -1,6 +1,7 @@
 """Frame integration into the hyperboloid model and the normal flow."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import RectBivariateSpline
 
-from minsurf.fields import GridSpec, OperatorField, ScalarField
+from minsurf import fields
+from minsurf.fields import GridSpec, OperatorField, ScalarField, diff1
 from minsurf import immersion as imm
 from minsurf import invariant_ode as iode
 from minsurf import pde
@@ -534,3 +536,188 @@ class TestIsometries:
     def test_rotation_preserves_minkowski_form(self):
         L = rotation(1.1, 2, 3)
         assert np.allclose(L.T @ ETA @ L, ETA, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the row-slab kernels against the whole-grid passes they replace
+
+
+def whole_grid_normal_flow(g, f, t):
+    """Reference: normal_flow as one whole-grid pass; (sigma', nu')."""
+    spec = g.spec
+    a = t * f.values[..., None]
+    ch, sh = np.cosh(a), np.sinh(a)
+    sigma1 = ch * g.sigma + sh * g.nu
+    tx = diff1(sigma1, spec.hx, axis=0)
+    ty = diff1(sigma1, spec.hy, axis=1)
+    g11 = imm.minkowski_dot(tx, tx)
+    g12 = imm.minkowski_dot(tx, ty)
+    g22 = imm.minkowski_dot(ty, ty)
+    gram_min = float((g11 * g22 - g12 * g12).min())
+    if np.any(g11 <= 0) or gram_min <= 0:
+        raise DegenerateTangents(f"min tangent Gram determinant {gram_min:.3e}")
+    sigma1 /= np.sqrt(-imm.minkowski_dot(sigma1, sigma1))[..., None]
+    n = imm.minkowski_normal(sigma1, tx, ty)
+    n += imm.minkowski_dot(n, sigma1)[..., None] * sigma1
+    nn = imm.minkowski_dot(n, n)
+    if np.any(nn <= 0):
+        raise DegenerateTangents("recovered normal is not spacelike")
+    orient = np.sign(imm.minkowski_dot(n, sh * g.sigma + ch * g.nu))
+    if np.any(orient == 0):
+        raise DegenerateTangents("recovered normal orthogonal to transported normal")
+    n *= (orient / np.sqrt(nn))[..., None]
+    return sigma1, n
+
+
+def whole_grid_forms(g):
+    """Reference: forms_from_immersion as one whole-grid pass; the (nx, ny,
+    2, 2) arrays of I, II and B."""
+    spec = g.spec
+    sx = diff1(g.sigma, spec.hx, axis=0)
+    sy = diff1(g.sigma, spec.hy, axis=1)
+    g12 = imm.minkowski_dot(sx, sy)
+    I = OperatorField.from_components(
+        spec, imm.minkowski_dot(sx, sx), g12, g12, imm.minkowski_dot(sy, sy))
+    det = I.det()
+    if np.any(I.a11 <= 0) or np.any(det <= 0):
+        raise SingularMetric("recovered metric not positive definite "
+                             f"(min det {float(det.min()):.3e})")
+    dnu = (diff1(g.nu, spec.hx, axis=0), diff1(g.nu, spec.hy, axis=1))
+    ii = np.empty((*spec.shape, 2, 2))
+    for r, c in np.ndindex(2, 2):
+        ii[..., r, c] = -imm.minkowski_dot(dnu[r], (sx, sy)[c])
+    i, b = I.mat, np.empty_like(ii)
+    for r, c in np.ndindex(2, 2):
+        s = 1 - r
+        b[..., r, c] = i[..., s, s] * ii[..., r, c] - i[..., r, s] * ii[..., s, c]
+    b /= det[..., None, None]
+    return I.mat, ii, b
+
+
+def smooth_immersion(spec, rng):
+    """A graph over the plane x3 = 0, lifted to H^3, with a little noise,
+    and unit normals near E3; not minimal, but every kernel check passes."""
+    X, Y = spec.nodes()
+    p = np.stack([X, Y, 0.3 * np.sin(2 * X + Y)], axis=-1)
+    p += 1e-3 * rng.uniform(-1.0, 1.0, p.shape)
+    sigma = np.concatenate([np.sqrt(1.0 + np.sum(p * p, -1))[..., None], p], -1)
+    nu = np.zeros_like(sigma)
+    nu[..., 3] = 1.0
+    nu += imm.minkowski_dot(nu, sigma)[..., None] * sigma
+    nu /= np.sqrt(imm.minkowski_dot(nu, nu))[..., None]
+    return imm.ImmersionGrid(spec, sigma, nu)
+
+
+def bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def broken_plane_grid():
+    """17 x 13 geodesic plane grid that fails every kernel check after its
+    first slab of three rows: sigma is constant in x over rows 5-8, so rows
+    6 and 7 have zero x-tangents and zero Gram determinant, and node (13, 6)
+    is moved far out, so that chords through it span timelike planes and
+    the grid's minimum determinant, -356.5, falls in a later slab."""
+    g = geodesic_plane_grid()
+    sigma = g.sigma.copy()
+    sigma[5:9] = sigma[5]
+    sigma[13, 6] = [np.cosh(3.0), np.sinh(3.0), 0.0, 0.0]
+    return imm.ImmersionGrid(spec=g.spec, sigma=sigma, nu=g.nu)
+
+
+@pytest.fixture(scope="module")
+def imm256(sol0):
+    return imm.immerse(periodic_chart(sol0, 256))
+
+
+class TestRowSlabs:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), nx=st.integers(3, 70), ny=st.integers(3, 40),
+           periodic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           t=st.sampled_from([1e-4, 1e-2, -1e-2, 0.2]))
+    def test_kernels_match_the_whole_grid_pass_bit_for_bit(
+            self, data, nx, ny, periodic, seed, t):
+        # one slab, one-row slabs, tails of one and two rows, and any other
+        # slab height; the constant is a node count, so add a partial row
+        step = data.draw(st.sampled_from(sorted({1, 2, max(1, nx - 2),
+                                                 max(1, nx - 1), nx, nx + 3}))
+                         | st.integers(1, nx), label="rows per slab")
+        spec = GridSpec(nx=nx, ny=ny, hx=0.8 / (nx - 1), hy=0.6 / ny,
+                        origin=(-0.4, -0.3), periodic_y=periodic)
+        rng = np.random.default_rng(seed)
+        g = smooth_immersion(spec, rng)
+        X, Y = spec.nodes()
+        f = ScalarField(spec, np.cos(X + 2 * Y)
+                        + 1e-2 * rng.uniform(-1.0, 1.0, spec.shape))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(imm, "_SLAB_NODES", step * ny + int(rng.integers(ny)))
+            got = imm.normal_flow(g, f, t)
+            forms = imm.forms_from_immersion(got)
+        assert bits(got.sigma, got.nu) == bits(*whole_grid_normal_flow(g, f, t))
+        assert bits(*(m.mat for m in forms)) == bits(*whole_grid_forms(got))
+
+    def test_default_slabs_match_at_257x256(self, imm256):
+        # 32-row slabs, and a one-row tail slab at the last row
+        spec = imm256.spec
+        assert imm._SLAB_NODES // spec.ny == 32 and spec.nx % 32 == 1
+        f = ScalarField.from_function(spec, lambda x, y: np.cos(x) * np.sin(
+            2 * np.pi * y))
+        got = imm.normal_flow(imm256, f, 1e-2)
+        assert bits(got.sigma, got.nu) == bits(
+            *whole_grid_normal_flow(imm256, f, 1e-2))
+        forms = imm.forms_from_immersion(got)
+        assert bits(*(m.mat for m in forms)) == bits(*whole_grid_forms(got))
+
+    def test_outputs_are_adopted_not_copied(self, imm64, monkeypatch):
+        adopted = []
+        real = imm._as_grid_array
+
+        def spy(values, shape, name):
+            a = real(values, shape, name)
+            adopted.append(a is values)
+            return a
+
+        # ImmersionGrid and OperatorField each validate through their own
+        # module's name for it
+        f = ScalarField.zeros(imm64.spec)
+        monkeypatch.setattr(imm, "_as_grid_array", spy)
+        monkeypatch.setattr(fields, "_as_grid_array", spy)
+        imm.forms_from_immersion(imm.normal_flow(imm64, f, 1e-3))
+        assert adopted == [True] * 5
+
+    def test_degenerate_tangents_past_the_first_slab(self, monkeypatch):
+        g = broken_plane_grid()
+        f = ScalarField.zeros(g.spec)
+        monkeypatch.setattr(imm, "_SLAB_NODES", 3 * g.spec.ny)
+        with pytest.raises(DegenerateTangents) as ref:
+            whole_grid_normal_flow(g, f, 0.0)
+        with pytest.raises(DegenerateTangents) as got:
+            imm.normal_flow(g, f, 0.0)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value) == "min tangent Gram determinant -3.565e+02"
+
+    def test_singular_metric_past_the_first_slab(self, monkeypatch):
+        g = broken_plane_grid()
+        monkeypatch.setattr(imm, "_SLAB_NODES", 3 * g.spec.ny)
+        with pytest.raises(SingularMetric) as ref:
+            whole_grid_forms(g)
+        with pytest.raises(SingularMetric) as got:
+            imm.forms_from_immersion(g)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).endswith("(min det -3.565e+02)")
+
+    @pytest.mark.parametrize("kernel", ["normal_flow", "forms_from_immersion"])
+    def test_peak_memory_beyond_the_outputs(self, imm256, kernel):
+        # the whole-grid passes held 15 MB (normal_flow) and 9 MB
+        # (forms_from_immersion) of temporaries beside their outputs here
+        args = ((imm256, ScalarField.zeros(imm256.spec), 1e-3)
+                if kernel == "normal_flow" else (imm256,))
+        tracemalloc.start()
+        try:
+            out = getattr(imm, kernel)(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = ((out.sigma, out.nu) if kernel == "normal_flow"
+                  else tuple(m.mat for m in out))
+        assert peak - sum(a.nbytes for a in arrays) <= 6 * 2 ** 20

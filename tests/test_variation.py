@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minsurf.fields import GridSpec, OperatorField, ScalarField, laplacian
 from minsurf import variation as var
 from minsurf import deform
-from minsurf.geometry import SurfaceData, embedding_data
+from minsurf.geometry import SurfaceData, embedding_data, principal_frames
 from minsurf.invariant_ode import to_surface
 from minsurf.errors import NotOnZ
 
@@ -173,3 +175,44 @@ class TestCurvatureRateAtZ:
     def test_off_axis_rejected(self, chart64, bump64):
         with pytest.raises(NotOnZ):
             var.curvature_rate_at_Z(chart64, bump64, (10, 16))
+
+
+def hexes(rates):
+    return [r.hex() for r in rates]
+
+
+def whole_grid_rate_at(s, f, node):
+    """Reference: curvature_rate_at_Z's formula read off whole-grid fields."""
+    i, j = node
+    I, _, B = embedding_data(s)
+    ep, em, _ = principal_frames(B.mat[i, j], I.mat[i, j])
+    H = var.cov_hessian(s, f).mat[i, j]
+    return float(ep @ H @ ep), float(em @ H @ em)
+
+
+class TestCurvatureRateWindow:
+    """The rate at a node, evaluated on the node's neighbourhood, is bitwise
+    the whole-grid route's."""
+
+    @pytest.mark.parametrize("j", [0, 1, 31, 62, 63])
+    def test_zero_locus_nodes_next_to_the_seam(self, chart64, bump64, j):
+        node = (32, j)
+        assert hexes(var.curvature_rate_at_Z(chart64, bump64, node)) == \
+            hexes(whole_grid_rate_at(chart64, bump64, node))
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.integers(3, 12), ny=st.integers(3, 12),
+           periodic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_node_of_small_grids(self, nx, ny, periodic, seed):
+        # with the locus check lifted, every node counts, edges and corners
+        # included, and grids narrower than the neighbourhood
+        spec = GridSpec(nx=nx, ny=ny, hx=0.7 / (nx - 1), hy=0.5 / ny,
+                        origin=(-0.3, 0.1), periodic_y=periodic)
+        rng = np.random.default_rng(seed)
+        s = SurfaceData(ScalarField(spec, rng.uniform(-0.5, 0.5, spec.shape)))
+        f = ScalarField(spec, rng.uniform(-1.0, 1.0, spec.shape))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(var, "_TOL_Z", np.inf)
+            for node in np.ndindex(*spec.shape):
+                assert hexes(var.curvature_rate_at_Z(s, f, node)) == \
+                    hexes(whole_grid_rate_at(s, f, node))
