@@ -5,7 +5,8 @@
   bicubic fit with no smoothing (s = 0) is its tensor product.
 - hermite: the piecewise cubic Hermite interpolant of node values and
   slopes, or its first or second derivative, at any points.  With the
-  slopes of spline_slopes it is that spline.
+  slopes of spline_slopes it is that spline.  It writes _CHUNK points at a
+  time into its output, so long point sets need one chunk's temporaries.
 - hermite_primitive: the integral of that interpolant from the first node
   to every node.
 - simpson, cumulative_simpson: composite Simpson's rule on samples at
@@ -27,6 +28,9 @@ __all__ = [
     "simpson",
     "cumulative_simpson",
 ]
+
+# points per pass of hermite; longer point sets are taken in chunks
+_CHUNK = 8192
 
 
 def spline_slopes(x, y) -> np.ndarray:
@@ -87,38 +91,43 @@ def hermite(xk, yk, mk, x, nu: int = 0) -> np.ndarray:
     last node in the last interval, and points beyond the ends extend the
     end cubics (less accurately the farther out, as the weights grow).  Trailing axes of yk and mk are separate curves; the result
     has the shape x.shape + yk.shape[1:].  The four Hermite basis weights
-    depend on the point alone, so each curve costs four products.
+    depend on the point alone, so each curve costs four products.  Points
+    are taken _CHUNK at a time, each chunk with the same arithmetic.
     """
     xk = np.asarray(xk, dtype=float)
     yk = np.asarray(yk, dtype=float)
     mk = np.asarray(mk, dtype=float)
     x = np.asarray(x, dtype=float)
-    i = np.clip(np.searchsorted(xk, x, side="right") - 1, 0, xk.size - 2)
-    h = xk[i + 1] - xk[i]
-    t = (x - xk[i]) / h
-    if nu == 0:
-        w = ((1 + 2 * t) * (1 - t) ** 2, t * t * (3 - 2 * t),
-             h * t * (1 - t) ** 2, h * t * t * (t - 1))
-    elif nu == 1:
-        w = (6 * t * (t - 1) / h, 6 * t * (1 - t) / h,
-             (1 - t) * (1 - 3 * t), t * (3 * t - 2))
-    elif nu == 2:
-        w = ((12 * t - 6) / h ** 2, (6 - 12 * t) / h ** 2,
-             (6 * t - 4) / h, (6 * t - 2) / h)
-    else:
+    if nu not in (0, 1, 2):
         raise ValueError(f"derivative order {nu} is not 0, 1 or 2")
     curves = (...,) + (None,) * (yk.ndim - 1)
     out = np.empty(x.shape + yk.shape[1:])
-    term = np.empty_like(out)
-    terms = ((yk, i), (yk, i + 1), (mk, i), (mk, i + 1))
-    for k, (data, j) in enumerate(terms):
-        # gathered into preallocated buffers: no large temporaries
-        np.take(data, j, axis=0, out=term if k else out, mode="clip")
-        if k:
-            term *= w[k][curves]
-            out += term
+    flat_x, flat_out = x.reshape(-1), out.reshape(x.size, *yk.shape[1:])
+    for c in range(0, x.size, _CHUNK):
+        xc, oc = flat_x[c:c + _CHUNK], flat_out[c:c + _CHUNK]
+        i = np.clip(np.searchsorted(xk, xc, side="right") - 1, 0, xk.size - 2)
+        h = xk[i + 1] - xk[i]
+        t = (xc - xk[i]) / h
+        if nu == 0:
+            w = ((1 + 2 * t) * (1 - t) ** 2, t * t * (3 - 2 * t),
+                 h * t * (1 - t) ** 2, h * t * t * (t - 1))
+        elif nu == 1:
+            w = (6 * t * (t - 1) / h, 6 * t * (1 - t) / h,
+                 (1 - t) * (1 - 3 * t), t * (3 * t - 2))
         else:
-            out *= w[0][curves]
+            w = ((12 * t - 6) / h ** 2, (6 - 12 * t) / h ** 2,
+                 (6 * t - 4) / h, (6 * t - 2) / h)
+        term = np.empty_like(oc)
+        terms = ((yk, i), (yk, i + 1), (mk, i), (mk, i + 1))
+        for k, (data, j) in enumerate(terms):
+            # gathered into preallocated buffers: no large temporaries
+            np.take(data, j, axis=0, out=term if k else oc, mode="clip")
+            if k:
+                term *= w[k][curves]
+                oc += term
+            else:
+                oc *= w[0][curves]
+        del i, h, t, w, term, terms, j  # one chunk's temporaries at a time
     return out
 
 

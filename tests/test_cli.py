@@ -607,7 +607,8 @@ def test_program_leaves_gc_off_and_the_heap_frozen(tmp_path):
 
 
 # every subcommand that computes, in one fresh interpreter; scipy is a
-# test-only dependency (the CI workflow also runs this test on its own)
+# test-only dependency, and numpy.random would load libcrypto for nothing
+# (the CI workflow also runs this test on its own)
 NO_SCIPY = """
 import os, sys
 from minsurf.cli import main
@@ -617,6 +618,7 @@ for argv in (["verify"],
              ["zlocus"], ["deform"], ["demo", "--fine", "32"]):
     out = os.path.join(sys.argv[1], argv[0] + ".json")
     assert main([*argv, "--out", out]) == 0, argv
+    assert "numpy.random" not in sys.modules, argv
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not scipy, scipy
 """

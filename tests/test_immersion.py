@@ -706,6 +706,44 @@ class TestRowSlabs:
         assert str(got.value) == str(ref.value)
         assert str(got.value).endswith("(min det -3.565e+02)")
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), nx=st.integers(3, 40), ny=st.integers(3, 24),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_constraint_check_matches_the_whole_grid_check_bit_for_bit(
+            self, data, nx, ny, seed):
+        # one slab, one-row slabs, a one-row tail, and any other height
+        step = data.draw(st.sampled_from(sorted({1, 2, max(1, nx - 1), nx,
+                                                 nx + 3}))
+                         | st.integers(1, nx), label="rows per slab")
+        spec = GridSpec(nx=nx, ny=ny, hx=0.8 / (nx - 1), hy=0.6 / ny,
+                        origin=(-0.4, -0.3), periodic_y=False)
+        rng = np.random.default_rng(seed)
+        g = smooth_immersion(spec, rng)
+        # the largest drift, about 4e-10, at a node in any slab
+        sigma = g.sigma.copy()
+        sigma[int(rng.integers(nx)), int(rng.integers(ny))] *= 1 + 2e-10
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(imm, "_SLAB_NODES", step * ny + int(rng.integers(ny)))
+            got = imm.ImmersionGrid(spec, sigma, g.nu).constraint_drift()
+        want = imm._drift(sigma, g.nu)[0]
+        assert 3e-10 < want < imm._DRIFT_POST
+        assert got == want
+
+    def test_constraint_check_peak_memory(self, imm256):
+        # from adopted arrays; the whole-grid check's three (nx, ny, 4)
+        # products peaked at 3.0 MB here
+        sigma, nu = imm256.sigma.copy(), imm256.nu.copy()
+        sigma.setflags(write=False)
+        nu.setflags(write=False)
+        tracemalloc.start()
+        try:
+            g = imm.ImmersionGrid(imm256.spec, sigma, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.sigma is sigma and g.nu is nu
+        assert peak <= 2 ** 20
+
     @pytest.mark.parametrize("kernel", ["normal_flow", "forms_from_immersion"])
     def test_peak_memory_beyond_the_outputs(self, imm256, kernel):
         # the whole-grid passes held 15 MB (normal_flow) and 9 MB
