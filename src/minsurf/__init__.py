@@ -7,8 +7,8 @@ The pieces fit together in one pipeline:
 - ``pde``: damped inexact Newton solver for the conformal-factor equation
   Delta u = 2 cosh(2u) on rectangle and cylinder charts (MINRES steps with a
   fast-Poisson preconditioner; the Laplacian is applied matrix-free).
-- ``geometry``: fundamental forms, shape operator, principal curvatures,
-  and Christoffel symbols of e^{2u}(dx^2 + dy^2).
+- ``geometry``: fundamental forms, shape operator and principal
+  curvatures of e^{2u}(dx^2 + dy^2) charts.
 - ``immersion``: Gauss-Weingarten frame integration into the hyperboloid
   model, equidistant (normal) flow, and reading the forms back off an
   immersed grid.
@@ -39,6 +39,8 @@ from __future__ import annotations
 import importlib
 import logging
 
+from . import errors as _errors
+
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"
@@ -47,28 +49,14 @@ _EXPORTS = {
     "GridSpec": ".fields",
     "ScalarField": ".fields",
     "OperatorField": ".fields",
-    "MinsurfError": ".errors",
-    "BlowUp": ".errors",
-    "IntegratorFailure": ".errors",
-    "QuadratureFailure": ".errors",
-    "DomainExceedsDelta": ".errors",
-    "ComplexEigenvalues": ".errors",
-    "NewtonDiverged": ".errors",
-    "SingularJacobian": ".errors",
-    "ConstraintDrift": ".errors",
-    "DegenerateTangents": ".errors",
-    "SingularMetric": ".errors",
-    "NotOnZ": ".errors",
-    "NonGenericCurve": ".errors",
-    "BallExceedsChart": ".errors",
-    "WrongHolonomyClass": ".errors",
-    "ZeroHolonomyInTranslationCase": ".errors",
-    "ClosednessViolation": ".errors",
-    "OverlappingNeighbourhoods": ".errors",
-    "WorkerFailure": ".errors",
 }
 
-__all__ = ["__version__", *sorted(_EXPORTS)]
+# every error class, bound now: minsurf.errors imports no numpy
+_ERRORS = {k: v for k, v in vars(_errors).items()
+           if isinstance(v, type) and issubclass(v, _errors.MinsurfError)}
+globals().update(_ERRORS)
+
+__all__ = ["__version__", *sorted([*_EXPORTS, *_ERRORS])]
 
 
 def __getattr__(name: str):

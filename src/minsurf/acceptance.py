@@ -105,9 +105,7 @@ def _profile(v0: float):
 @lru_cache(maxsize=None)
 def _chart(n: int):
     """Unit-strip periodic chart of the v0 = 0 profile at grid step 1/n."""
-    spec = GridSpec(nx=n + 1, ny=n, hx=1.0 / n, hy=1.0 / n,
-                    origin=(-0.5, 0.0), periodic_y=True)
-    return to_surface(_profile(0.0), spec)
+    return to_surface(_profile(0.0), GridSpec.strip(1.0, n + 1, n))
 
 
 @lru_cache(maxsize=None)
@@ -151,9 +149,8 @@ def _translation_field():
     tube = deform.CurveTube(period=L, s_bar=0.1, holonomy="translation",
                             curve=curve, curve_deriv=curve_deriv,
                             hol_vector=(1.0, -0.2))
-    spec = GridSpec(nx=33, ny=256, hx=0.16 / 32, hy=L / 256,
-                    origin=(-0.08, 0.0), periodic_y=True)
-    return deform.build_translation_f(tube, spec, r=0.06)
+    return deform.build_translation_f(tube, GridSpec.strip(0.16, 33, 256, L),
+                                      r=0.06)
 
 
 def _weyl(seed: int, n: int) -> np.ndarray:
@@ -306,8 +303,7 @@ def _06_rate_product_rule():
     frequencies from _weyl, the golden-ratio Weyl sequence, at seed
     20260822.
     """
-    spec = GridSpec(nx=65, ny=64, hx=1.0 / 64, hy=1.0 / 64,
-                    origin=(-0.5, 0.0), periodic_y=True)
+    spec = GridSpec.strip(1.0, 65, 64)
     worst = 0.0
     for draws in np.reshape(_weyl(20260822, 72), (3, 24)):
         s, f = _smooth_random_pair(draws, spec)

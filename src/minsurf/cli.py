@@ -6,7 +6,12 @@ never enter reports (stdout may carry them).  Fields and immersions travel
 as CSV with the grid spec in a comment header.
 
 Exit codes: 0 success, 1 verification failure, 2 solver divergence or
-numerical breakdown, 64 usage error (bad flags or bad input data).
+numerical breakdown, 64 usage error (bad flags or bad input data).  An error
+that escapes a subcommand exits with its class's exit_code: 2 for
+NewtonDiverged, BlowUp, SingularJacobian, DegenerateTangents,
+ConstraintDrift, SingularMetric, ComplexEigenvalues, QuadratureFailure and
+IntegratorFailure, 1 for ClosednessViolation and WorkerFailure, 64 for every
+other MinsurfError and for ValueError and OSError.
 
 Two entry points share the subcommands.  ``main(argv)`` is the in-process
 API that tests and harnesses call: it runs `verify`'s criteria serially in
@@ -36,6 +41,11 @@ import pickle
 import signal
 import sys
 
+from .errors import (EXIT_OK, EXIT_USAGE, EXIT_VERIFY, BallExceedsChart,
+                     DomainExceedsDelta, MinsurfError, NonGenericCurve,
+                     OverlappingNeighbourhoods, WorkerFailure,
+                     WrongHolonomyClass)
+
 # the thread-pool sizes numpy's native libraries read when they load
 _POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
               "NUMEXPR_NUM_THREADS")
@@ -48,11 +58,6 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 SCHEMA = "minsurf-report/1"
-
-EXIT_OK = 0
-EXIT_VERIFY = 1
-EXIT_DIVERGED = 2
-EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,14 +102,17 @@ def _point(text: str):
     return (_finite_float(parts[0]), _finite_float(parts[1]))
 
 
-def _emit(report: dict, path: "str | None") -> None:
+def _emit(args, report: dict) -> None:
+    """Write report, tagged with the schema and the subcommand, to args.out
+    (stdout when unset)."""
+    report = {"schema": SCHEMA, "command": args.command, **report}
     # allow_nan=False: a NaN or infinity in a report is a bug upstream,
     # and the emitted JSON must stay standard
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if path is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
 
 
@@ -114,14 +122,11 @@ def _strip_profile(args):
     delta(args.v0).  A strip that reaches delta raises DomainExceedsDelta."""
     import numpy as np
 
-    from .errors import DomainExceedsDelta
     from .fields import GridSpec
     from .invariant_ode import estimate_delta, integrate
 
     delta = estimate_delta(args.v0)
-    spec = GridSpec(nx=args.nx, ny=args.ny, hx=args.width / (args.nx - 1),
-                    hy=args.period / args.ny, origin=(-args.width / 2.0, 0.0),
-                    periodic_y=True)
+    spec = GridSpec.strip(args.width, args.nx, args.ny, args.period)
     # a strip past delta is refused before the profile could blow up on it
     reach = float(np.abs(spec.xs).max())
     if reach >= delta:
@@ -194,8 +199,6 @@ def cmd_ode(args) -> int:
                            [np.column_stack([sol.xs, sol.g, sol.gp])])
 
     report = {
-        "schema": SCHEMA,
-        "command": "ode",
         "params": {"v0": args.v0, "tol": args.tol, "x_frac": args.x_frac},
         "delta": delta,
         "x_max": float(sol.x_max),
@@ -211,7 +214,7 @@ def cmd_ode(args) -> int:
     }
     ok = relative <= bound and lc.ok
     report["passed"] = ok
-    _emit(report, args.out)
+    _emit(args, report)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -226,15 +229,13 @@ def cmd_solve(args) -> int:
     if args.csv:
         s.u.to_csv(args.csv)
     report = {
-        "schema": SCHEMA,
-        "command": "solve",
         "params": {"v0": args.v0, "width": args.width, "nx": args.nx,
                    "ny": args.ny, "period": args.period, "tol": args.tol},
         "delta": delta,
         "residual": residual(s),
         "u_range": [float(s.u.values.min()), float(s.u.values.max())],
     }
-    _emit(report, args.out)
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -261,13 +262,11 @@ def cmd_zlocus(args) -> int:
             item["tol_line"] = v.tol_line
         items.append(item)
     report = {
-        "schema": SCHEMA,
-        "command": "zlocus",
         "params": {**_surface_params(args), "tol_z": args.tol_z},
         "components": items,
         "count": len(items),
     }
-    _emit(report, args.out)
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -281,12 +280,6 @@ def cmd_deform(args) -> int:
         detect_z,
         genericity_check,
         point_distance,
-    )
-    from .errors import (
-        BallExceedsChart,
-        NonGenericCurve,
-        OverlappingNeighbourhoods,
-        WrongHolonomyClass,
     )
     from .fields import ScalarField
 
@@ -349,8 +342,6 @@ def cmd_deform(args) -> int:
         ScalarField(s.spec, total).to_csv(args.field_csv)
 
     report = {
-        "schema": SCHEMA,
-        "command": "deform",
         "params": {**_surface_params(args), "r": args.r,
                    "tol_z": args.tol_z,
                    "bump_center": list(args.bump_center)
@@ -360,7 +351,7 @@ def cmd_deform(args) -> int:
         "built": built,
         "field_sup": float(np.max(np.abs(total))),
     }
-    _emit(report, args.out)
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -387,8 +378,6 @@ def cmd_flow(args) -> int:
     plateau = plateau_mask(s.spec, args.bump_center, args.bump_r)
     interior = s.spec.interior_mask()
     report = {
-        "schema": SCHEMA,
-        "command": "flow",
         "params": {**_surface_params(args), "t": args.t,
                    "bump_center": list(args.bump_center),
                    "bump_r": args.bump_r},
@@ -404,7 +393,7 @@ def cmd_flow(args) -> int:
         },
         "outside_unit_interval": _outside_unit_interval(pc, interior),
     }
-    _emit(report, args.out)
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -427,8 +416,6 @@ def _forked(here, there, lane: str):
     sending anything raises WorkerFailure naming the lane and the wait
     status.  The worker is always reaped before this returns or raises.
     """
-    from .errors import WorkerFailure
-
     sys.stdout.flush()
     sys.stderr.flush()
     r, w = os.pipe()
@@ -552,8 +539,6 @@ def cmd_verify(args) -> int:
         print(r.line())
     all_passed = all(r.passed for r in results)
     report = {
-        "schema": SCHEMA,
-        "command": "verify",
         "params": {"only": wanted},
         "criteria": [r.as_dict() for r in results],
         "all_passed": all_passed,
@@ -562,7 +547,7 @@ def cmd_verify(args) -> int:
     if first_fail is not None:
         report["first_failure"] = first_fail
         print(f"FAILED at {first_fail}", file=sys.stderr)
-    _emit(report, args.out)
+    _emit(args, report)
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 
@@ -614,8 +599,6 @@ def cmd_demo(args) -> int:
 
     ok = plateau_ok and center_ok and slope_ok and neg_ok
     report = {
-        "schema": SCHEMA,
-        "command": "demo",
         "params": {"fine": fine, "bump_center": list(center), "bump_r": r},
         "sweep": {f"{t:g}": v for t, v in sweep.items()},
         "plateau_below_1": plateau_ok,
@@ -628,7 +611,7 @@ def cmd_demo(args) -> int:
         "negative_t_exceeds_1": neg_ok,
         "passed": ok,
     }
-    _emit(report, args.out)
+    _emit(args, report)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -641,13 +624,12 @@ def _build_parser() -> _Parser:
                 description="minimal-surface chart pipeline driver")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("ode", parents=[], help="invariant profile checks")
+    q = sub.add_parser("ode", help="invariant profile checks")
     q.add_argument("--v0", type=_nonneg_float, required=True)
     q.add_argument("--tol", type=_pos_float, default=1e-10,
                    help="integrator relative tolerance (default 1e-10)")
     q.add_argument("--x-frac", type=_pos_float, default=0.9,
                    help="integrate to this fraction of delta (default 0.9)")
-    q.add_argument("--out", help="JSON report path (default stdout)")
     q.add_argument("--csv", help="write accepted samples x,g,gp")
     q.set_defaults(fn=cmd_ode)
 
@@ -659,7 +641,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--period", type=_pos_float, default=1.0)
     q.add_argument("--tol", type=_pos_float, default=1e-10,
                    help="Newton residual tolerance")
-    q.add_argument("--out", help="JSON report path (default stdout)")
     q.add_argument("--csv", help="write the solved chart u")
     q.set_defaults(fn=cmd_solve)
 
@@ -669,7 +650,6 @@ def _build_parser() -> _Parser:
                    help="|u| threshold for the locus (default 1e-8); charts "
                         "from `solve` sit O(h^2) off the continuum profile, "
                         "so pass roughly 2x that offset for them")
-    q.add_argument("--out", help="JSON report path (default stdout)")
     q.set_defaults(fn=cmd_zlocus)
 
     q = sub.add_parser("deform",
@@ -682,7 +662,6 @@ def _build_parser() -> _Parser:
                    help="place an extra point bump at X,Y")
     q.add_argument("--bump-r", type=_pos_float, default=0.45)
     q.add_argument("--field-csv", help="write the assembled field f")
-    q.add_argument("--out", help="JSON report path (default stdout)")
     q.set_defaults(fn=cmd_deform)
 
     q = sub.add_parser("flow", help="immerse, flow by t*f, report curvatures")
@@ -692,22 +671,21 @@ def _build_parser() -> _Parser:
     q.add_argument("--bump-center", type=_point, default=(0.0, 0.5))
     q.add_argument("--bump-r", type=_pos_float, default=0.45)
     q.add_argument("--csv", help="write the flowed immersion")
-    q.add_argument("--out", help="JSON report path (default stdout)")
     q.set_defaults(fn=cmd_flow)
 
     q = sub.add_parser("verify", help="run the acceptance suite")
     q.add_argument("--only", action="append", metavar="NAME",
                    help="run a single criterion (repeatable)")
-    q.add_argument("--out", help="JSON report path (default stdout)")
     q.set_defaults(fn=cmd_verify)
 
     q = sub.add_parser("demo",
                        help="curvature opening on the invariant chart")
     q.add_argument("--fine", type=_pos_int, default=128,
                    help="fine grid resolution (default 128)")
-    q.add_argument("--out", help="JSON report path (default stdout)")
     q.set_defaults(fn=cmd_demo)
 
+    for q in sub.choices.values():
+        q.add_argument("--out", help="JSON report path (default stdout)")
     return p
 
 
@@ -740,40 +718,14 @@ def _main(argv, lanes: bool) -> int:
         # before numpy loads: both lanes' BLAS pools share the usable CPUs
         _lower_pools(max(1, _usable_cpus() // 2))
 
-    from .errors import (
-        BlowUp,
-        ClosednessViolation,
-        ComplexEigenvalues,
-        ConstraintDrift,
-        DegenerateTangents,
-        IntegratorFailure,
-        MinsurfError,
-        NewtonDiverged,
-        QuadratureFailure,
-        SingularJacobian,
-        SingularMetric,
-        WorkerFailure,
-    )
-
-    diverged = (NewtonDiverged, BlowUp, SingularJacobian, DegenerateTangents,
-                ConstraintDrift, SingularMetric, ComplexEigenvalues,
-                QuadratureFailure, IntegratorFailure)
     try:
         return args.fn(args)
-    except diverged as e:
-        print(f"minsurf {args.command}: {type(e).__name__}: {e}",
-              file=sys.stderr)
-        return EXIT_DIVERGED
-    except (ClosednessViolation, WorkerFailure) as e:
-        print(f"minsurf {args.command}: {type(e).__name__}: {e}",
-              file=sys.stderr)
-        return EXIT_VERIFY
     except (MinsurfError, ValueError, OSError) as e:
-        # remaining domain errors are bad requests: ball outside the chart,
-        # width past delta, non-finite input data, missing files
+        # ValueError and OSError are bad requests too: non-finite input
+        # data, missing files
         print(f"minsurf {args.command}: {type(e).__name__}: {e}",
               file=sys.stderr)
-        return EXIT_USAGE
+        return getattr(e, "exit_code", EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -1,20 +1,35 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the CLI's exit codes.
 
 Every failure mode that callers are expected to branch on gets its own class;
 generic misuse (bad shapes, negative step sizes) stays ValueError.  Classes
 whose constructor takes fields rather than the message define __reduce__, so
 every error pickles (a forked worker sends them back to its parent).
+
+Each class's exit_code is the status `minsurf` exits with when it escapes a
+subcommand: 2 for the numerical breakdowns (NewtonDiverged, BlowUp,
+SingularJacobian, DegenerateTangents, ConstraintDrift, SingularMetric,
+ComplexEigenvalues, QuadratureFailure, IntegratorFailure), 1 for a failed
+gate (ClosednessViolation, WorkerFailure), and 64 for the rest, which are
+bad requests.  This module imports no numpy, so importing minsurf stays
+free of it.
 """
 
 from __future__ import annotations
 
+EXIT_OK = 0
+EXIT_VERIFY = 1
+EXIT_DIVERGED = 2
+EXIT_USAGE = 64
+
 
 class MinsurfError(Exception):
     """Base class for package-specific failures."""
+    exit_code = EXIT_USAGE
 
 
 class ComplexEigenvalues(MinsurfError):
     """Shape-operator discriminant is negative beyond tolerance."""
+    exit_code = EXIT_DIVERGED
 
     def __init__(self, min_discriminant: float):
         self.min_discriminant = float(min_discriminant)
@@ -32,6 +47,7 @@ class BlowUp(MinsurfError):
     Expected behaviour when integrating past the maximal half-width; carries
     the abscissa actually reached, which approximates that half-width.
     """
+    exit_code = EXIT_DIVERGED
 
     def __init__(self, x_reached: float, g_reached: float):
         self.x_reached = float(x_reached)
@@ -46,10 +62,12 @@ class BlowUp(MinsurfError):
 
 class IntegratorFailure(MinsurfError):
     """The ODE integrator stopped short of x_max without blowing up."""
+    exit_code = EXIT_DIVERGED
 
 
 class QuadratureFailure(MinsurfError):
     """Adaptive quadrature did not reach the requested accuracy."""
+    exit_code = EXIT_DIVERGED
 
 
 class DomainExceedsDelta(MinsurfError):
@@ -58,6 +76,7 @@ class DomainExceedsDelta(MinsurfError):
 
 class NewtonDiverged(MinsurfError):
     """Damped Newton made no progress; carries the last residual."""
+    exit_code = EXIT_DIVERGED
 
     def __init__(self, iterations: int, residual: float):
         self.iterations = int(iterations)
@@ -73,10 +92,12 @@ class NewtonDiverged(MinsurfError):
 
 class SingularJacobian(MinsurfError):
     """The Newton linear solve broke down or returned a non-finite step."""
+    exit_code = EXIT_DIVERGED
 
 
 class ConstraintDrift(MinsurfError):
     """Frame integration lost the hyperboloid/orthonormality constraints."""
+    exit_code = EXIT_DIVERGED
 
     def __init__(self, drift: float, where: str = ""):
         self.drift = float(drift)
@@ -92,10 +113,12 @@ class ConstraintDrift(MinsurfError):
 
 class DegenerateTangents(MinsurfError):
     """Finite-difference tangents do not span a spacelike plane."""
+    exit_code = EXIT_DIVERGED
 
 
 class SingularMetric(MinsurfError):
     """Recovered first fundamental form is not positive definite."""
+    exit_code = EXIT_DIVERGED
 
 
 class NotOnZ(MinsurfError):
@@ -120,6 +143,7 @@ class ZeroHolonomyInTranslationCase(MinsurfError):
 
 class ClosednessViolation(MinsurfError):
     """Hessian-column 1-forms fail the discrete closedness gate."""
+    exit_code = EXIT_VERIFY
 
 
 class OverlappingNeighbourhoods(MinsurfError):
@@ -128,6 +152,7 @@ class OverlappingNeighbourhoods(MinsurfError):
 
 class WorkerFailure(MinsurfError):
     """A forked worker ended without sending its lane's result."""
+    exit_code = EXIT_VERIFY
 
     def __init__(self, lane: str, status: int):
         self.lane = lane

@@ -59,6 +59,14 @@ class GridSpec:
         if not np.all(np.isfinite([self.hx, self.hy, *self.origin])):
             raise ValueError("grid spacings and origin must be finite")
 
+    @classmethod
+    def strip(cls, width: float, nx: int, ny: int,
+              period: float = 1.0) -> "GridSpec":
+        """The strip |x| <= width/2, nx nodes across, periodic in y with ny
+        nodes over one period; the invariant profile's charts live here."""
+        return cls(nx=nx, ny=ny, hx=width / (nx - 1), hy=period / ny,
+                   origin=(-width / 2.0, 0.0), periodic_y=True)
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)

@@ -20,23 +20,21 @@ builds eigenframes of stacked 2x2 matrices (a grid, or one node) on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ComplexEigenvalues
-from .fields import GridSpec, OperatorField, ScalarField, diff1, laplacian
+from .fields import GridSpec, OperatorField, ScalarField, laplacian
 
 __all__ = [
     "SurfaceData",
     "PrincipalCurvatures",
-    "Christoffels",
     "embedding_data",
     "third_form",
     "principal_curvatures",
     "principal_frames",
     "gauss_residual",
-    "christoffel",
 ]
 
 WEAK_BOUND_TOL = 1e-12
@@ -181,33 +179,3 @@ def gauss_residual(s: SurfaceData) -> ScalarField:
     """
     lap = laplacian(s.u).values
     return ScalarField(s.spec, lap - 2.0 * np.cosh(2.0 * s.u.values))
-
-
-@dataclass(frozen=True)
-class Christoffels:
-    """Christoffel symbols of I = e^{2u}(dx^2+dy^2); only 6 are independent.
-
-    Component naming: x_xy is Gamma^x_{xy}, etc. For a conformal metric these
-    are first derivatives of u:
-
-        Gamma^x_xx =  u_x   Gamma^y_xx = -u_y
-        Gamma^x_xy =  u_y   Gamma^y_xy =  u_x
-        Gamma^x_yy = -u_x   Gamma^y_yy =  u_y
-    """
-
-    spec: GridSpec
-    x_xx: np.ndarray = field(repr=False)
-    y_xx: np.ndarray = field(repr=False)
-    x_xy: np.ndarray = field(repr=False)
-    y_xy: np.ndarray = field(repr=False)
-    x_yy: np.ndarray = field(repr=False)
-    y_yy: np.ndarray = field(repr=False)
-
-
-def christoffel(s: SurfaceData) -> Christoffels:
-    spec = s.spec
-    ux = diff1(s.u.values, spec.hx, axis=0)
-    uy = diff1(s.u.values, spec.hy, axis=1, periodic=spec.periodic_y)
-    return Christoffels(
-        spec=spec, x_xx=ux, y_xx=-uy, x_xy=uy, y_xy=ux, x_yy=-ux, y_yy=uy
-    )

@@ -446,14 +446,7 @@ def invariant_strip_problem(
     The exact solution is the invariant profile itself, which makes this the
     reference configuration for convergence and divergence studies.
     """
-    spec = GridSpec(
-        nx=nx,
-        ny=ny,
-        hx=width / (nx - 1),
-        hy=period_y / ny,
-        origin=(-width / 2.0, 0.0),
-        periodic_y=True,
-    )
+    spec = GridSpec.strip(width, nx, ny, period_y)
     vals = np.zeros(spec.shape)
     g_edge = sol.g_at(np.abs(spec.xs[[0, -1]]))
     vals[0, :] = g_edge[0]

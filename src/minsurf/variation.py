@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import NotOnZ
 from .fields import GridSpec, OperatorField, ScalarField, diff1, diff2
-from .geometry import (SurfaceData, christoffel, embedding_data,
-                       principal_frames, third_form)
+from .geometry import (SurfaceData, embedding_data, principal_frames,
+                       third_form)
 from .immersion import ImmersionGrid, forms_from_immersion, normal_flow
 
 # |u| at a node above which curvature_rate_at_Z refuses it as off the locus
@@ -49,8 +49,13 @@ def _grad(s: SurfaceData, f: ScalarField):
     fy = diff1(f.values, spec.hy, axis=1, periodic=spec.periodic_y)
     return fx, fy
 
+
 def cov_hessian(s: SurfaceData, f: ScalarField) -> OperatorField:
-    """Covariant Hessian (nabla df)_ij = f_,ij - Gamma^k_ij f_,k as a (0,2) field."""
+    """Covariant Hessian (nabla df)_ij = f_,ij - Gamma^k_ij f_,k as a (0,2) field.
+
+    The Christoffel symbols of I = e^{2u}(dx^2 + dy^2) are first derivatives
+    of u: Gamma^x_xx = Gamma^y_xy = -Gamma^x_yy = u_x,
+    Gamma^y_yy = Gamma^x_xy = -Gamma^y_xx = u_y."""
     if f.spec != s.spec:
         raise ValueError("profile lives on a different grid")
     spec = s.spec
@@ -59,10 +64,10 @@ def cov_hessian(s: SurfaceData, f: ScalarField) -> OperatorField:
     fxx = diff2(f.values, spec.hx, axis=0)
     fyy = diff2(f.values, spec.hy, axis=1, periodic=per)
     fxy = diff1(fx, spec.hy, axis=1, periodic=per)
-    G = christoffel(s)
-    Hxx = fxx - (G.x_xx * fx + G.y_xx * fy)
-    Hxy = fxy - (G.x_xy * fx + G.y_xy * fy)
-    Hyy = fyy - (G.x_yy * fx + G.y_yy * fy)
+    ux, uy = _grad(s, s.u)
+    Hxx = fxx - (ux * fx - uy * fy)
+    Hxy = fxy - (uy * fx + ux * fy)
+    Hyy = fyy - (uy * fy - ux * fx)
     return OperatorField.from_components(spec, Hxx, Hxy, Hxy, Hyy)
 
 

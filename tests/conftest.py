@@ -25,8 +25,7 @@ def sol05():
 
 
 def _chart(sol, n: int) -> SurfaceData:
-    spec = GridSpec(nx=n + 1, ny=n, hx=1.0 / n, hy=1.0 / n,
-                    origin=(-0.5, 0.0), periodic_y=True)
+    spec = GridSpec.strip(1.0, n + 1, n)
     return iode.to_surface(sol, spec)
 
 

@@ -386,6 +386,22 @@ class TestVerify:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["ode", "--v0", "0.5"],
+    ["solve", "--width", "0.8", "--nx", "33", "--ny", "32"],
+    ["zlocus", "--nx", "65", "--ny", "64"],
+    ["deform", "--nx", "65", "--ny", "64", "--bump-center", "0.0,0.5"],
+    ["flow", "--nx", "65", "--ny", "64", "--t", "1e-3"],
+], ids=lambda argv: argv[0])
+def test_reports_carry_the_envelope_and_repeat_bytewise(tmp_path, argv):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for p in (a, b):
+        assert run([*argv, "--out", str(p)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    rep = load(a)
+    assert (rep["schema"], rep["command"]) == ("minsurf-report/1", argv[0])
+
+
 lanes = pytest.mark.skipif(
     not hasattr(os, "fork") or cli._usable_cpus() < 2,
     reason="verify runs its lanes on 2 or more usable CPUs")

@@ -198,8 +198,7 @@ class TestDetectZ:
     def test_thinning_is_counted(self):
         # a circle of radius 0.2 at tol_z 3e-4 is a band of 72 nodes, which
         # _thin_band cuts to one node per slice; the cut must be reported
-        spec = GridSpec(nx=65, ny=64, hx=1 / 64, hy=1 / 64, origin=(-0.5, 0.0),
-                        periodic_y=True)
+        spec = GridSpec.strip(1.0, 65, 64)
         X, Y = spec.nodes()
         u = 5.0 * (np.hypot(X, Y - 0.5) - 0.2) ** 2
         band = np.argwhere(u <= 3e-4)
@@ -231,14 +230,12 @@ class TestDetectZ:
 
     def test_positive_profile_has_empty_locus(self, sol05):
         from minsurf.invariant_ode import to_surface
-        spec = GridSpec(nx=33, ny=32, hx=1 / 32, hy=1 / 32,
-                        origin=(-0.5, 0.0), periodic_y=True)
+        spec = GridSpec.strip(1.0, 33, 32)
         s = to_surface(sol05, spec)
         assert deform.detect_z(s) == []
 
     def test_isolated_point(self):
-        spec = GridSpec(nx=65, ny=64, hx=1 / 64, hy=1 / 64,
-                        origin=(-0.5, 0.0), periodic_y=True)
+        spec = GridSpec.strip(1.0, 65, 64)
         u = ScalarField.from_function(
             spec, lambda x, y: 2.0 * (x ** 2 + (y - 0.5) ** 2))
         comps = deform.detect_z(SurfaceData(u))
@@ -255,8 +252,7 @@ class TestDetectZ:
         assert verdict.line_deviation <= verdict.tol_line
 
     def test_genericity_rejects_points(self):
-        spec = GridSpec(nx=65, ny=64, hx=1 / 64, hy=1 / 64,
-                        origin=(-0.5, 0.0), periodic_y=True)
+        spec = GridSpec.strip(1.0, 65, 64)
         u = ScalarField.from_function(
             spec, lambda x, y: 2.0 * (x ** 2 + (y - 0.5) ** 2))
         c = deform.detect_z(SurfaceData(u))[0]
@@ -428,8 +424,7 @@ def translation_tube():
 
 
 def tube_spec(ny=128):
-    return GridSpec(nx=17, ny=ny, hx=0.16 / 16, hy=1.0 / ny,
-                    origin=(-0.08, 0.0), periodic_y=True)
+    return GridSpec.strip(0.16, 17, ny)
 
 
 class TestCurveTube:
@@ -530,8 +525,7 @@ class TestBuildTranslationF:
 
 class TestAssembleF:
     def point_chart(self):
-        spec = GridSpec(nx=65, ny=64, hx=1 / 64, hy=1 / 64,
-                        origin=(-0.5, 0.0), periodic_y=True)
+        spec = GridSpec.strip(1.0, 65, 64)
         u = ScalarField.from_function(
             spec, lambda x, y: 2.0 * (x ** 2 + (y - 0.5) ** 2))
         return SurfaceData(u)
@@ -589,8 +583,7 @@ class TestAssembleF:
             deform.assemble_f(chart64, comps, r=0.2)
 
     def test_overlap_rejected(self):
-        spec = GridSpec(nx=65, ny=64, hx=1 / 64, hy=1 / 64,
-                        origin=(-0.5, 0.0), periodic_y=True)
+        spec = GridSpec.strip(1.0, 65, 64)
         u = ScalarField.from_function(
             spec,
             lambda x, y: 20.0 * (x ** 2 + (y - 0.25) ** 2)

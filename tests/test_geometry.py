@@ -1,4 +1,4 @@
-"""Fundamental forms, principal curvatures, Christoffel symbols."""
+"""Fundamental forms, shape operator, principal curvatures."""
 
 import dataclasses
 import weakref
@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from minsurf.fields import GridSpec, OperatorField, ScalarField
 from minsurf.geometry import (
     SurfaceData,
-    christoffel,
     embedding_data,
     gauss_residual,
     principal_curvatures,
@@ -50,8 +49,7 @@ class TestEmbeddingData:
         assert res <= 10.0 / 64 ** 2
 
     def test_gauss_residual_large_for_junk(self):
-        spec = GridSpec(nx=33, ny=32, hx=1 / 32, hy=1 / 32,
-                        origin=(-0.5, 0.0), periodic_y=True)
+        spec = GridSpec.strip(1.0, 33, 32)
         junk = SurfaceData(ScalarField.from_function(
             spec, lambda x, y: 0.5 * np.sin(6 * np.pi * y)))
         assert gauss_residual(junk).sup(interior_only=True) > 1.0
@@ -270,30 +268,3 @@ class TestPrincipalFrames:
             clear = separated & (np.abs(eager[..., 0]) > 1e-6)
             assert np.allclose(frame[clear], eager[clear], rtol=0, atol=1e-9)
 
-
-class TestChristoffel:
-    def test_conformal_symbols(self, sol0):
-        # compare against the closed form in terms of du for the profile
-        # u = g(|x|); stay on x > 0 to avoid the axis kink in d|x|/dx
-        n = 64
-        spec = GridSpec(nx=n + 1, ny=17, hx=0.3 / n, hy=0.05,
-                        origin=(0.1, 0.0), periodic_y=False)
-        from minsurf.invariant_ode import to_surface
-        s = to_surface(sol0, spec)
-        ch = christoffel(s)
-        X, _ = spec.nodes()
-        ux = np.asarray(sol0.gp_at(X))
-        inner = spec.interior_mask()
-        h2 = 10.0 * max(spec.hx, spec.hy) ** 2
-        assert np.max(np.abs(ch.x_xx - ux)[inner]) <= h2
-        assert np.max(np.abs(ch.y_xy - ux)[inner]) <= h2
-        assert np.max(np.abs(ch.x_yy + ux)[inner]) <= h2
-        # u has no y-dependence on this chart
-        assert np.max(np.abs(ch.x_xy)[inner]) <= h2
-        assert np.max(np.abs(ch.y_xx)[inner]) <= h2
-        assert np.max(np.abs(ch.y_yy)[inner]) <= h2
-
-    def test_flat_chart_symbols_vanish(self, flat_chart):
-        ch = christoffel(flat_chart)
-        for a in (ch.x_xx, ch.y_xx, ch.x_xy, ch.y_xy, ch.x_yy, ch.y_yy):
-            assert np.max(np.abs(a)) == 0.0

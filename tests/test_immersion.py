@@ -66,8 +66,7 @@ def apply_isometry(g: imm.ImmersionGrid, L: np.ndarray) -> imm.ImmersionGrid:
 
 
 def periodic_chart(sol, n):
-    spec = GridSpec(nx=n + 1, ny=n, hx=1.0 / n, hy=1.0 / n,
-                    origin=(-0.5, 0.0), periodic_y=True)
+    spec = GridSpec.strip(1.0, n + 1, n)
     return iode.to_surface(sol, spec)
 
 
@@ -356,8 +355,7 @@ class TestImmerse:
         assert drifts[sweep] / 2 < exc.value.drift <= drifts[sweep]
 
     def test_incompatible_chart_raises(self):
-        spec = GridSpec(nx=65, ny=64, hx=1 / 64, hy=1 / 64,
-                        origin=(-0.5, 0.0), periodic_y=True)
+        spec = GridSpec.strip(1.0, 65, 64)
         junk = SurfaceData(ScalarField.from_function(
             spec, lambda x, y: 3.0 * np.sin(40 * x) * np.cos(31 * y)))
         with pytest.warns(RuntimeWarning):

@@ -228,8 +228,7 @@ class TestToSurface:
 
     def test_domain_exceeds_delta(self, sol0):
         w = 2.0 * sol0.delta_est + 0.1
-        spec = GridSpec(nx=33, ny=8, hx=w / 32, hy=0.125,
-                        origin=(-w / 2, 0.0), periodic_y=True)
+        spec = GridSpec.strip(w, 33, 8)
         with pytest.raises(DomainExceedsDelta):
             iode.to_surface(sol0, spec)
 
@@ -237,7 +236,6 @@ class TestToSurface:
         # inside the maximal strip (|x| < 0.95 delta) but past the
         # integrated range x_max = 0.9 delta: a usage error
         w = 1.9 * sol0.delta_est
-        spec = GridSpec(nx=33, ny=8, hx=w / 32, hy=0.125,
-                        origin=(-w / 2, 0.0), periodic_y=True)
+        spec = GridSpec.strip(w, 33, 8)
         with pytest.raises(ValueError, match="integrate further"):
             iode.to_surface(sol0, spec)

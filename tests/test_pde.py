@@ -24,8 +24,7 @@ def square_problem(width: float, c: float, n: int = 33) -> pde.PdeProblem:
 
 def strip_problem(width: float, c: float, nx: int = 49,
                   ny: int = 32) -> pde.PdeProblem:
-    spec = GridSpec(nx=nx, ny=ny, hx=width / (nx - 1), hy=1.0 / ny,
-                    origin=(-width / 2, 0.0), periodic_y=True)
+    spec = GridSpec.strip(width, nx, ny)
     vals = np.zeros(spec.shape)
     vals[0, :] = c
     vals[-1, :] = c
@@ -591,8 +590,7 @@ class TestHarmonicExtension:
         assert np.max(np.abs(he.values - lin.values)) <= 1e-11
 
     def test_reproduces_data_linear_in_x_on_a_strip(self):
-        spec = GridSpec(nx=33, ny=20, hx=0.9 / 32, hy=1 / 20,
-                        origin=(-0.45, 0.0), periodic_y=True)
+        spec = GridSpec.strip(0.9, 33, 20)
         lin = ScalarField.from_function(spec, lambda x, y: 0.7 * x - 0.1)
         he = pde.harmonic_extension(spec, lin)
         assert np.max(np.abs(he.values - lin.values)) <= 1e-12
