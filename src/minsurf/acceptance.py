@@ -132,6 +132,12 @@ def _graph_samples():
 
 
 @lru_cache(maxsize=None)
+def _xi():
+    """The moment solve on _graph_samples() with targets (0.2, -0.1)."""
+    return deform.solve_xi(*_graph_samples(), 0.2, -0.1)
+
+
+@lru_cache(maxsize=None)
 def _translation_field():
     """Pinned translation-holonomy scenario (gentle slope, wide window)."""
     L = 1.0
@@ -352,11 +358,9 @@ def _07_curvature_rates_at_zero_locus():
 def _08_hessian_interpolant_certificate():
     """build_G certificate: exact left slab, constant right gap, on-curve
     Hessian diag(-1, 1) to 10 h^2."""
-    xs, hs = _graph_samples()
-    xi = deform.solve_xi(xs, hs, 0.2, -0.1)
     dom = GridSpec(nx=141, ny=81, hx=1.4 / 140, hy=2.0 / 80,
                    origin=(-0.2, -1.0), periodic_y=False)
-    gf = deform.build_G((xs, hs), xi, dom)
+    gf = deform.build_G(_graph_samples(), _xi(), dom)
     c = gf.certificate
     step = c["curve_hessian_step"]
     ok = (c["left_slab_residual"] == 0.0
@@ -375,8 +379,8 @@ def _08_hessian_interpolant_certificate():
 
 def _09_moment_conditions():
     """Moment residuals below 1e-10; straight-line input is rejected."""
-    xs, hs = _graph_samples()
-    xi = deform.solve_xi(xs, hs, 0.2, -0.1)
+    xs, _ = _graph_samples()
+    xi = _xi()
     worst = float(max(np.max(np.abs(xi.residual_sample)),
                       np.max(np.abs(xi.residual_refined))))
     try:

@@ -66,7 +66,9 @@ class IntegratorFailure(MinsurfError):
 
 
 class QuadratureFailure(MinsurfError):
-    """Adaptive quadrature did not reach the requested accuracy."""
+    """delta(v0) could not be computed: its Simpson rule and the rule on every
+    other node differ by more than 1e-8, or v0 is so large that the
+    integrand overflows float64."""
     exit_code = EXIT_DIVERGED
 
 

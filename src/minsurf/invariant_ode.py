@@ -28,7 +28,7 @@ from .errors import (BlowUp, DomainExceedsDelta, IntegratorFailure,
                      QuadratureFailure)
 from .fields import GridSpec, ScalarField
 from .geometry import SurfaceData
-from .kernels import hermite
+from .kernels import hermite, simpson
 
 __all__ = [
     "OdeSolution",
@@ -74,37 +74,14 @@ _NSTIFF, _STIFF_HLAMB = 1000, 3.25
 _DOPRI_MESSAGES = {-2: "larger nsteps is needed",
                    -4: "problem is probably stiff (interrupted)"}
 
-# 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21): the positive
-# Kronrod nodes, descending, with the Gauss nodes at odd positions, then 0
-_GK_X = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0])
-_GK_WK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821])
-_GK_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338])
-# all 21 nodes and weights, the ten Gauss nodes' weights in place (0 at the
-# Kronrod-only nodes)
-_GK_NODES = np.concatenate([_GK_X[:-1], [0.0], -_GK_X[-2::-1]])
-_GK_KRONROD = np.concatenate([_GK_WK, _GK_WK[-2::-1]])
-_GK_GAUSS = np.zeros(21)
-_GK_GAUSS[1:10:2] = _GK_WG
-_GK_GAUSS[11:20:2] = _GK_WG[::-1]
-_QUAD_LIMIT = 200  # subintervals
-# absolute tolerances: DOPRI5's, relative to its rtol, and delta's quadrature
+# DOPRI5's absolute tolerance, relative to its rtol
 _ATOL_PER_RTOL = 1e-2
-_DELTA_EPSABS = 1e-12
+# Simpson nodes of delta's quadrature, uniform on [0, 1]; its error estimate
+# compares with the rule on every other node
+_DELTA_NODES = 2049
+# past this v0, cosh(2 v0 + w) overflows for w < 40 in delta's tail, and the
+# part of the tail it drops exceeds e^-40 of delta
+_DELTA_V0_MAX = 335.0
 
 
 @dataclass(frozen=True)
@@ -114,7 +91,8 @@ class OdeSolution:
     Dense output is cubic Hermite on the accepted steps: for g the slopes are
     the stored g', for g' the slopes are g'' = 2 cosh(2g), so interpolation
     error matches the integrator's local order. g extends evenly, g' oddly.
-    delta_est is delta(v0), computed by quadrature on first read.
+    delta_est is delta(v0), computed by estimate_delta's Simpson quadrature
+    on first read.
     """
 
     v0: float
@@ -316,82 +294,43 @@ def integrate(v0: float, x_max: float, rtol: float = 1e-10) -> OdeSolution:
     return OdeSolution(v0=float(v0), xs=xs, g=g, gp=gp)
 
 
-def _gk21(f, a: np.ndarray, b: np.ndarray):
-    """QUADPACK's qk21 on each interval [a_i, b_i]: the Kronrod estimate of
-    the integral of the vectorised f, and QUADPACK's error estimate from
-    the Kronrod-Gauss difference, scaled by the integrand's variation and
-    floored at 50 eps of its absolute integral."""
-    eps = np.finfo(float).eps
-    c, hl = 0.5 * (a + b), 0.5 * (b - a)
-    fv = f(c[:, None] + hl[:, None] * _GK_NODES)
-    resk = np.sum(fv * _GK_KRONROD, axis=1)
-    resg = np.sum(fv * _GK_GAUSS, axis=1)
-    resabs = np.sum(np.abs(fv) * _GK_KRONROD, axis=1) * np.abs(hl)
-    resasc = (np.sum(np.abs(fv - 0.5 * resk[:, None]) * _GK_KRONROD, axis=1)
-              * np.abs(hl))
-    err = np.abs((resk - resg) * hl)
-    scaled = (resasc != 0) & (err != 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.where(scaled, resasc * np.minimum(
-            1.0, (200.0 * err / resasc) ** 1.5), err)
-    tiny = np.finfo(float).tiny
-    err = np.where(resabs > tiny / (50 * eps),
-                   np.maximum(50 * eps * resabs, err), err)
-    return resk * hl, err
-
-
-def _quad(f, a: float, b: float, epsabs: float, epsrel: float):
-    """Adaptive 21-point Gauss-Kronrod quadrature of the vectorised f over
-    [a, b] (QUADPACK's qag strategy, without extrapolation): bisect the
-    interval with the largest error estimate until the summed estimate
-    meets max(epsabs, epsrel |integral|) or _QUAD_LIMIT intervals exist.
-    Returns (integral, error estimate)."""
-    lo, hi = np.array([a]), np.array([b])
-    val, err = _gk21(f, lo, hi)
-    while (err.sum() > max(epsabs, epsrel * abs(val.sum()))
-           and lo.size < _QUAD_LIMIT):
-        k = int(np.argmax(err))
-        mid = 0.5 * (lo[k] + hi[k])
-        v2, e2 = _gk21(f, np.array([lo[k], mid]), np.array([mid, hi[k]]))
-        lo = np.concatenate([np.delete(lo, k), [lo[k], mid]])
-        hi = np.concatenate([np.delete(hi, k), [mid, hi[k]]])
-        val = np.concatenate([np.delete(val, k), v2])
-        err = np.concatenate([np.delete(err, k), e2])
-    return float(val.sum()), float(err.sum())
-
-
 def estimate_delta(v0: float) -> float:
     """Maximal half-width by quadrature of the first integral.
 
-    The integrand has an inverse-square-root singularity at g = v0; the
-    substitution g = v0 + s^2 removes it on the first unit of g.  The tail
-    [v0+1, inf), where the integrand decays like e^{-g}, is mapped to
-    (0, 1] by g = v0 + 1 + (1 - t)/t, as QUADPACK's qagi maps it.  Both
-    pieces go to adaptive Gauss-Kronrod quadrature, whose nodes are interior,
-    so neither s = 0 nor t = 0 is sampled.
+    With g = v0 + w, 2 sinh 2g - 2 sinh 2v0 = 4 cosh(2 v0 + w) sinh w, free
+    of cancellation.  The substitution w = s^2 removes the integrand's
+    inverse-square-root singularity on the first unit of w; the tail
+    w = 1/t in [1, inf), where the integrand decays like e^{-w}, maps to
+    (0, 1].  Both pieces, with their limits 1/sqrt(cosh 2v0) at s = 0 and 0
+    at t = 0, go to composite Simpson on one uniform node set.  Raises
+    QuadratureFailure for v0 > _DELTA_V0_MAX, where the tail overflows, and
+    when the rule and its every-other-node subset differ by more than 1e-8.
     """
     if v0 < 0:
         raise ValueError(f"v0 must be nonnegative, got {v0}")
-    s2v0 = np.sinh(2.0 * v0)
-
-    def inner(s):
-        # ds-form of dg / sqrt(2 sinh 2g - 2 sinh 2v0) with g = v0 + s^2:
-        # 2s ds / sqrt(...); the ratio (sinh 2g - sinh 2v0)/s^2 -> 2 cosh 2v0
-        return 2.0 * s / np.sqrt(2.0 * (np.sinh(2.0 * (v0 + s * s)) - s2v0))
-
-    def tail(t):
-        g = v0 + 1.0 + (1.0 - t) / t
-        return 1.0 / np.sqrt(2.0 * (np.sinh(2.0 * g) - s2v0)) / (t * t)
-
+    if v0 > _DELTA_V0_MAX:
+        raise QuadratureFailure(
+            f"delta({v0}): cosh(2 v0 + w) overflows float64 on the tail "
+            f"beyond v0 = {_DELTA_V0_MAX}")
+    s = np.linspace(0.0, 1.0, _DELTA_NODES)
+    t = s[1:]
+    f = np.zeros(_DELTA_NODES)  # inner piece in s plus tail piece in t = s
     with np.errstate(over="ignore"):
-        v1, e1 = _quad(inner, 0.0, 1.0, _DELTA_EPSABS, 1e-12)
-        v2, e2 = _quad(tail, 0.0, 1.0, _DELTA_EPSABS, 1e-12)
-    err = e1 + e2
-    if not np.isfinite(v1 + v2) or err > 1e-8:
+        f[0] = 1.0 / np.sqrt(np.cosh(2.0 * v0))
+        # 2s ds / sqrt(4 cosh(2 v0 + s^2) sinh s^2), and dt / t^2 over the
+        # same root at w = 1/t; where cosh or sinh overflows, the tail term
+        # is 0, its value to float64 accuracy while v0 <= _DELTA_V0_MAX
+        f[1:] = t / (np.sqrt(np.cosh(2.0 * v0 + t * t))
+                     * np.sqrt(np.sinh(t * t)))
+        f[1:] += 0.5 / (t * t * np.sqrt(np.cosh(2.0 * v0 + 1.0 / t))
+                        * np.sqrt(np.sinh(1.0 / t)))
+    delta = simpson(f, s)
+    err = abs(delta - simpson(f[::2], s[::2]))
+    if not np.isfinite(delta) or err > 1e-8:
         raise QuadratureFailure(
             f"delta({v0}): estimated error {err:.3e} exceeds 1e-8"
         )
-    return float(v1 + v2)
+    return delta
 
 
 def first_integral_residuals(sol: OdeSolution) -> np.ndarray:

@@ -13,6 +13,9 @@
   increasing, possibly irregular abscissae, with the formulas of
   scipy.integrate.simpson and cumulative_simpson.
 
+Callers: immersion (spline_slopes, hermite), invariant_ode (hermite for the
+profile's dense output, simpson for delta(v0)) and deform (all five).
+
 Each kernel sums in a fixed order with numpy's own reductions, never
 through BLAS, so its bits do not depend on the BLAS thread count.
 """

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from minsurf.fields import GridSpec
 from minsurf import invariant_ode as iode
 from minsurf.cli import main
-from minsurf.errors import BlowUp, DomainExceedsDelta, IntegratorFailure
+from minsurf.errors import (BlowUp, DomainExceedsDelta, IntegratorFailure,
+                            QuadratureFailure)
 
 # half-widths of the maximal strips, frozen from the closed-form quadrature
 DELTA = {
@@ -29,6 +31,50 @@ class TestEstimateDelta:
     def test_decreasing_in_v0(self):
         ds = [iode.estimate_delta(v) for v in (0.0, 0.25, 0.5, 1.0)]
         assert all(a > b for a, b in zip(ds, ds[1:]))
+
+
+    @pytest.mark.parametrize("v0", [0.0, 0.5, 3.0, 14.0, 30.0, 60.0])
+    def test_matches_quadpack_without_cancellation(self, v0):
+        # 2 sinh 2g - 2 sinh 2v0 = 4 cosh(2 v0 + w) sinh w at g = v0 + w:
+        # no cancelling difference, so QUADPACK resolves delta to 1e-13
+        # relative even once delta is far below any absolute tolerance
+        from scipy.integrate import quad
+
+        def inner(s):  # w = s^2 on [0, 1]
+            if s == 0.0:
+                return 1.0 / np.sqrt(np.cosh(2.0 * v0))
+            return s / np.sqrt(np.cosh(2.0 * v0 + s * s) * np.sinh(s * s))
+
+        def tail(w):
+            return 1.0 / np.sqrt(4.0 * np.cosh(2.0 * v0 + w) * np.sinh(w))
+
+        with np.errstate(over="ignore"):
+            ref = (quad(inner, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
+                        limit=200)[0]
+                   + quad(tail, 1.0, np.inf, epsabs=0.0, epsrel=1e-13,
+                          limit=200)[0])
+        assert iode.estimate_delta(v0) == pytest.approx(ref, rel=1e-14,
+                                                        abs=0.0)
+
+    @pytest.mark.parametrize("v0, ref", [(200.0, 2.1738195808622828e-87),
+                                         (335.0, 5.0988054276423242e-146)])
+    def test_relative_accuracy_up_to_the_overflow_bound(self, v0, ref):
+        # frozen from 30-digit Gauss-Legendre quadrature of e^{v0} times the
+        # integrand, which stays O(1); QUADPACK itself drifts to 1e-9 here
+        assert iode.estimate_delta(v0) == pytest.approx(ref, rel=1e-14,
+                                                        abs=0.0)
+
+    def test_too_few_nodes_is_a_typed_failure(self, monkeypatch):
+        monkeypatch.setattr(iode, "_DELTA_NODES", 5)
+        with pytest.raises(QuadratureFailure, match="estimated error"):
+            iode.estimate_delta(0.0)
+
+    @pytest.mark.parametrize("v0", [360.0, 400.0, 1e6])
+    def test_overflowing_v0_fails_without_warnings(self, v0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureFailure, match="overflows"):
+                iode.estimate_delta(v0)
 
 
 class TestIntegrate:
