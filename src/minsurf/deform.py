@@ -31,7 +31,7 @@ radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,7 +56,6 @@ __all__ = [
     "plateau_mask",
     "ZComponent",
     "GenericityVerdict",
-    "XiFunction",
     "XiResult",
     "GField",
     "CurveTube",
@@ -82,7 +81,7 @@ _EQUIV_NPROBE = 64  # parameters per period at which equivariance is checked
 _WINDOW_NPROBE = 2048
 _SLOPE_CAP = 5.0
 _GRAPH_SAMPLES = 4097
-# dense grid for xi primitives; the consistency gate integrates xi', whose
+# build_G's dense xi table; the consistency gate integrates xi', whose
 # quadrature error carries |xi^(5)| ~ 1e10 for the narrowest bump placement,
 # so the step must be ~1e-5 to keep the honest floor well under 1e-10
 _DENSE_N = 65537
@@ -486,14 +485,12 @@ class CurveTube:
 class TubeField:
     """A curvature-opening field on a tube's cylinder chart.
 
-    field holds samples on a GridSpec whose x-axis is the transverse
-    coordinate s and whose periodic y-axis is the curve parameter t;
-    evaluate(t, s) is the smooth function itself (t taken mod the period).
+    evaluate(t, s) is the smooth function itself, in the curve parameter t
+    (taken mod the period) and the transverse coordinate s; the certificate
+    names the holonomy case and holds the build's residuals.
     """
 
     tube: CurveTube
-    case: str
-    field: ScalarField
     certificate: dict
     _eval: Callable = None
     _flat_core: Callable = None
@@ -554,9 +551,6 @@ def build_halfturn_f(tube: CurveTube, spec: GridSpec, r: float) -> TubeField:
     def fval(t, s):
         return bump_profile(np.abs(s), r) * F(tube.dev(t, s))
 
-    S, T = spec.nodes()  # x-axis is s, y-axis is t
-    vals = fval(T, S)
-
     # glue residual: evaluate through the raw (unwrapped) formula one period
     # apart; exactness rests on the curve callable's equivariance and on F
     # being even, not on any modular reduction
@@ -575,15 +569,13 @@ def build_halfturn_f(tube: CurveTube, spec: GridSpec, r: float) -> TubeField:
     fyy = (F(zc + hfd * ey) - 2 * F(zc) + F(zc - hfd * ey)) / hfd ** 2
     hess_res = float(max(np.max(np.abs(fxx + 1.0)), np.max(np.abs(fyy - 1.0))))
 
-    case = "HalfTurn" if tube.holonomy == "halfturn" else "Trivial"
     cert = {
-        "case": case,
+        "case": "HalfTurn" if tube.holonomy == "halfturn" else "Trivial",
         "glue_residual": glue,
         "hessian_residual": hess_res,
         "equivariance_residual": res,
     }
-    return TubeField(tube=tube, case=case, field=ScalarField(spec, vals),
-                     certificate=cert, _eval=fval, _flat_core=F)
+    return TubeField(tube=tube, certificate=cert, _eval=fval, _flat_core=F)
 
 
 # ---------------------------------------------------------------------------
@@ -611,30 +603,31 @@ def _exp_bump_deriv(t):
 
 
 @dataclass(frozen=True)
-class XiFunction:
-    """xi with its derivative and antiderivative, consistent to < 1e-10.
+class XiResult:
+    """Solution of the two moment conditions int xi h' = x0, int xi = -y0.
 
-    Xi(x) = int_0^x xi; all three callables vanish (exactly) outside the
-    stated support interval, so downstream primitives extend by constants.
+    xi = a psi_1 + b psi_2 for the coefficients (a, b) and the bumps psi_i
+    of half-width `width` about the centers, inside the support interval;
+    xi and xi' are evaluated from these numbers and vanish outside the bumps.
     """
 
-    xi: Callable = field(repr=False)
-    xi_prime: Callable = field(repr=False)
-    Xi: Callable = field(repr=False)
-    support: tuple = (0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class XiResult:
-    """Solution of the two moment conditions int xi h' = x0, int xi = -y0."""
-
-    func: XiFunction
     coefficients: np.ndarray  # (2,)
     centers: tuple
+    width: float
+    support: tuple
     placement_index: int
     residual_sample: np.ndarray  # (2,) at the provided sample resolution
     residual_refined: np.ndarray  # (2,) at 4x refined resolution
     targets: tuple
+
+    def xi(self, x):
+        (a, b), (c1, c2), w = self.coefficients, self.centers, self.width
+        return a * _exp_bump((x - c1) / w) + b * _exp_bump((x - c2) / w)
+
+    def xi_prime(self, x):
+        (a, b), (c1, c2), w = self.coefficients, self.centers, self.width
+        return (a * (_exp_bump_deriv((x - c1) / w) / w)
+                + b * (_exp_bump_deriv((x - c2) / w) / w))
 
 
 # candidate (center, center, half-width) placements for the two bumps, as
@@ -654,6 +647,7 @@ def solve_xi(xs: np.ndarray, hs: np.ndarray, x0: float, y0: float) -> XiResult:
     checked afterwards on a 4x refined grid.  If every candidate placement
     leaves the system singular relative to its row norms, h' is constant to
     quadrature accuracy, i.e. the curve is a straight line: NonGenericCurve.
+    The result holds numbers only; build_G tabulates xi.
     """
     xs = np.asarray(xs, dtype=float)
     hs = np.asarray(hs, dtype=float)
@@ -665,79 +659,40 @@ def solve_xi(xs: np.ndarray, hs: np.ndarray, x0: float, y0: float) -> XiResult:
     x_lo = float(xs[0])
     hp_s = spline_slopes(xs, hs)  # h' at the samples
 
-    def make_pair(centers, w):
-        c1 = x_lo + centers[0] * delta_c
-        c2 = x_lo + centers[1] * delta_c
-        ww = w * delta_c
-        psi1 = lambda x: _exp_bump((np.asarray(x) - c1) / ww)
-        psi2 = lambda x: _exp_bump((np.asarray(x) - c2) / ww)
-        dp1 = lambda x: _exp_bump_deriv((np.asarray(x) - c1) / ww) / ww
-        dp2 = lambda x: _exp_bump_deriv((np.asarray(x) - c2) / ww) / ww
-        return (psi1, psi2), (dp1, dp2), (c1, c2)
-
-    chosen = None
-    for k, (centers, w) in enumerate(_PLACEMENTS):
-        (psi1, psi2), derivs, cc = make_pair(centers, w)
-        M = np.array([
-            [simpson(psi1(xs) * hp_s, xs), simpson(psi2(xs) * hp_s, xs)],
-            [simpson(psi1(xs), xs), simpson(psi2(xs), xs)],
-        ])
+    # bump centers and half-width of each candidate placement
+    cands = [((x_lo + f1 * delta_c, x_lo + f2 * delta_c), w * delta_c)
+             for (f1, f2), w in _PLACEMENTS]
+    homogeneous = (x0, y0) == (0.0, 0.0)
+    for k, (cc, ww) in enumerate(cands):
+        psi = [_exp_bump((xs - c) / ww) for c in cc]
+        M = np.array([[simpson(p * hp_s, xs) for p in psi],
+                      [simpson(p, xs) for p in psi]])
         row_scale = np.linalg.norm(M[0]) * np.linalg.norm(M[1])
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
         if abs(det) >= _DET_REL_TOL * row_scale and row_scale > 0:
-            chosen = (k, (psi1, psi2), derivs, cc, M)
             break
-    homogeneous = (x0, y0) == (0.0, 0.0)
-    if chosen is None:
+    else:
         if not homogeneous:
             raise NonGenericCurve(
                 "moment system singular for every bump placement; the curve "
                 "is a straight line to quadrature accuracy")
-        chosen = (0, *make_pair(*_PLACEMENTS[0]), None)
-    k, (psi1, psi2), derivs, cc, M = chosen
+        k, (cc, ww) = 0, cands[0]
     # homogeneous targets: xi = 0 regardless of conditioning
     ab = np.zeros(2) if homogeneous else np.linalg.solve(M, np.array([x0, -y0]))
-
-    dp1, dp2 = derivs
-
-    def xi(x):
-        return ab[0] * psi1(x) + ab[1] * psi2(x)
-
-    def xi_prime(x):
-        return ab[0] * dp1(x) + ab[1] * dp2(x)
-
-    # antiderivative on a dense grid: the exact integral of the cubic
-    # Hermite interpolant of (xi, xi'), interpolated between the nodes with
-    # the slopes xi.  With d = delta_c/65536 the node values err by about
-    # d^4 |xi''''| / 720 and the values between by d^4 |xi'''| / 384, far
-    # below 1e-10 even for the narrow third placement
-    xd = np.linspace(x_lo, x_lo + delta_c, _DENSE_N)
-    xi_d = xi(xd)
-    Xi_d = hermite_primitive(xd, xi_d, xi_prime(xd))
-    Xi_hi = float(Xi_d[-1])
-
-    def Xi(x):
-        x = np.asarray(x, dtype=float)
-        out = hermite(xd, Xi_d, xi_d, np.clip(x, x_lo, x_lo + delta_c))
-        return np.where(x >= x_lo + delta_c, Xi_hi, out)
-
-    func = XiFunction(xi=xi, xi_prime=xi_prime, Xi=Xi,
-                      support=(x_lo, x_lo + delta_c))
+    res = XiResult(coefficients=ab, centers=cc, width=ww,
+                   support=(x_lo, x_lo + delta_c), placement_index=k,
+                   residual_sample=None, residual_refined=None,
+                   targets=(x0, y0))
 
     def residuals(grid):
         hpg = hermite(xs, hs, hp_s, grid, nu=1)
-        return np.array([
-            simpson(xi(grid) * hpg, grid) - x0,
-            simpson(xi(grid), grid) + y0,
-        ])
+        xi_g = res.xi(grid)
+        return np.array([simpson(xi_g * hpg, grid) - x0,
+                         simpson(xi_g, grid) + y0])
 
-    res_sample = residuals(xs)
     fine = np.linspace(x_lo, x_lo + delta_c, 4 * (len(xs) - 1) + 1)
-    res_fine = residuals(fine)
-
-    return XiResult(func=func, coefficients=ab, centers=cc,
-                    placement_index=k, residual_sample=res_sample,
-                    residual_refined=res_fine, targets=(x0, y0))
+    return replace(res, residual_sample=residuals(xs),
+                   residual_refined=residuals(fine))
 
 
 # ---------------------------------------------------------------------------
@@ -751,13 +706,13 @@ class GField:
     The closed form is G(x, y) = saddle(x, y) + y Xi(x) - V(x) with
     Xi = int xi and V = int int h xi''; both primitives are exact integrals
     of dense cubic Hermite fits, extended by the correct constants/linear
-    parts outside the construction window, so the two outer slabs are exact.
+    parts outside the construction window, so the two outer slabs are exact;
+    the certificate reads them on build_G's domain grid, which is not kept.
     """
 
-    field: ScalarField
-    G: Callable = None
-    constant: float = 0.0  # C in G = Psi0(. - (x0,y0)) + C on the far slab
-    certificate: dict = None
+    G: Callable
+    constant: float  # C in G = Psi0(. - (x0,y0)) + C on the far slab
+    certificate: dict
 
 
 def _fd4_second(fun, pts, h, axis):
@@ -774,6 +729,9 @@ def build_G(h_samples: tuple, xi: XiResult, domain: GridSpec,
             curve_probe_step: float | None = None) -> GField:
     """Integrate the prescribed Hessian field twice and certify the result.
 
+    It owns the construction's one dense table: xi, xi' and Xi = int xi on
+    _DENSE_N nodes across the moment solve's support.
+
     Raises ClosednessViolation when the carried antiderivatives disagree
     with independent quadrature of the carried integrands beyond 1e-10,
     which is the discrete form of the columns failing to be closed 1-forms
@@ -785,8 +743,7 @@ def build_G(h_samples: tuple, xi: XiResult, domain: GridSpec,
     data) need a finer step to stay inside the 10 h^2 envelope.
     """
     xs, hs = (np.asarray(a, dtype=float) for a in h_samples)
-    func = xi.func
-    x_lo, x_hi = func.support
+    x_lo, x_hi = xi.support
     delta_c = x_hi - x_lo
     hp_s = spline_slopes(xs, hs)
 
@@ -794,8 +751,21 @@ def build_G(h_samples: tuple, xi: XiResult, domain: GridSpec,
         return hermite(xs, hs, hp_s, x, nu)
 
     xd = np.linspace(x_lo, x_hi, _DENSE_N)
-    xi_d = func.xi(xd)
-    xip_d = func.xi_prime(xd)
+    xi_d = xi.xi(xd)
+    xip_d = xi.xi_prime(xd)
+    # Xi = int xi: the exact integral of the cubic Hermite interpolant of
+    # (xi, xi'), interpolated between the nodes with the slopes xi.  With
+    # d = delta_c/65536 the node values err by about d^4 |xi''''| / 720 and
+    # the values between by d^4 |xi'''| / 384, far below 1e-10 even for the
+    # narrow third placement
+    Xi_d = hermite_primitive(xd, xi_d, xip_d)
+    Xi_hi = float(Xi_d[-1])
+
+    def Xi(x):
+        x = np.asarray(x, dtype=float)
+        out = hermite(xd, Xi_d, xi_d, np.clip(x, x_lo, x_hi))
+        return np.where(x >= x_hi, Xi_hi, out)
+
     xc = np.clip(xd, xs[0], xs[-1])
     h_d = h_spline(xc)
 
@@ -807,8 +777,8 @@ def build_G(h_samples: tuple, xi: XiResult, domain: GridSpec,
     cum_xi = cumulative_simpson(xi_d, xd)
     cum_xip = cumulative_simpson(xip_d, xd)
     gate = max(
-        float(np.max(np.abs(cum_xi - (func.Xi(xd) - func.Xi(x_lo))))),
-        float(np.max(np.abs(cum_xip - (func.xi(xd) - func.xi(xd[0]))))),
+        float(np.max(np.abs(cum_xi - (Xi(xd) - Xi(x_lo))))),
+        float(np.max(np.abs(cum_xip - (xi_d - xi.xi(xd[0]))))),
     )
     if gate > _CLOSED_TOL:
         raise ClosednessViolation(
@@ -833,11 +803,10 @@ def build_G(h_samples: tuple, xi: XiResult, domain: GridSpec,
     def G(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return _saddle(x, y) + y * func.Xi(x) - V(x)
+        return _saddle(x, y) + y * Xi(x) - V(x)
 
     X, Y = domain.nodes()
     vals = G(X, Y)
-    fieldv = ScalarField(domain, vals)
 
     psi0 = _saddle(X, Y)
     cert: dict = {}
@@ -847,16 +816,11 @@ def build_G(h_samples: tuple, xi: XiResult, domain: GridSpec,
 
     x0t, y0t = xi.targets
     right = X >= x_hi
-    if right.any():
-        shift = _saddle(X[right] - x0t, Y[right] - y0t)
-        diff = vals[right] - shift
-        Cval = float(np.mean(diff))
-        cert["right_slab_constancy"] = float(np.max(diff) - np.min(diff))
-        cert["constant"] = Cval
-    else:
-        Cval = 0.0
-        cert["right_slab_constancy"] = 0.0
-        cert["constant"] = 0.0
+    diff = vals[right] - _saddle(X[right] - x0t, Y[right] - y0t)
+    Cval = float(np.mean(diff)) if right.any() else 0.0
+    cert["right_slab_constancy"] = (
+        float(np.max(diff) - np.min(diff)) if right.any() else 0.0)
+    cert["constant"] = Cval
     # the by-parts identity int h xi' = -int h' xi = -x0 pins W(delta)
     cert["byparts_residual"] = abs(W_hi + x0t)
 
@@ -874,7 +838,7 @@ def build_G(h_samples: tuple, xi: XiResult, domain: GridSpec,
     cert["curve_hessian_step"] = hfd
     cert["closedness_gate"] = gate
 
-    return GField(field=fieldv, G=G, constant=Cval, certificate=cert)
+    return GField(G=G, constant=Cval, certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,9 +971,6 @@ def build_translation_f(tube: CurveTube, spec: GridSpec,
         """
         return _three_branch(z[..., 0], 0.0, delta_c, z, branches)
 
-    S, T = spec.nodes()
-    vals = branch_value(T, S)
-
     cert = dict(gf.certificate)
     cert["case"] = "Translation"
     cert["window"] = (float(a), float(b))
@@ -1047,9 +1008,8 @@ def build_translation_f(tube: CurveTube, spec: GridSpec,
     cert["seam_value_residuals"] = (va, vb)
     cert["seam_slope_residuals"] = (da, db)
 
-    return TubeField(tube=tube, case="Translation",
-                     field=ScalarField(spec, vals), certificate=cert,
-                     _eval=branch_value, _flat_core=flat_core)
+    return TubeField(tube=tube, certificate=cert, _eval=branch_value,
+                     _flat_core=flat_core)
 
 
 def _three_branch(key, lo: float, hi: float, z, branches) -> np.ndarray:

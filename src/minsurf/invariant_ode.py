@@ -271,15 +271,19 @@ def integrate(v0: float, x_max: float, rtol: float = 1e-10) -> OdeSolution:
     Raises BlowUp(x_reached, g_reached) if the profile leaves the
     representable range first; the abscissa it carries approximates delta(v0).
     Any other integrator failure warns with DOPRI5's message and raises
-    IntegratorFailure.
+    IntegratorFailure, as does an error norm that overflows float64.
     """
     if v0 < 0:
         raise ValueError(f"v0 must be nonnegative, got {v0}")
     if not x_max > 0:
         raise ValueError(f"x_max must be positive, got {x_max}")
 
-    code, rows = _dopri5(_rhs, 0.0, float(v0), 0.0, float(x_max), rtol,
-                         rtol * _ATOL_PER_RTOL, _GUARD_G, _MAX_STEPS)
+    try:
+        code, rows = _dopri5(_rhs, 0.0, float(v0), 0.0, float(x_max), rtol,
+                             rtol * _ATOL_PER_RTOL, _GUARD_G, _MAX_STEPS)
+    except OverflowError:  # the initial step's (k / atol)^2 from v0 ~ 163.6
+        raise IntegratorFailure(
+            f"DOPRI5's error norm overflows float64 at v0 = {v0:g}") from None
     xs, g, gp = np.array(rows).T
     # code 2: the guard stopped it; code -3: step-size underflow against
     # dg/dx ~ e^g.  Both are the blow-up signature

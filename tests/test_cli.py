@@ -56,6 +56,12 @@ class TestOde:
         assert rep["first_integral_residual"] > rep["residual_bound"]
         assert rep["first_integral_relative_residual"] <= rep["residual_bound"]
 
+    def test_overflowing_profile_is_a_typed_failure(self, capsys):
+        assert run(["ode", "--v0", "200"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("minsurf ode: IntegratorFailure:")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("v0", ["0", "1"])
     def test_wrong_slope_fails(self, tmp_path, monkeypatch, v0):
         from dataclasses import replace

@@ -1,7 +1,7 @@
 """Zero-locus detection and the curvature-opening field constructions."""
 
+import tracemalloc
 from collections import deque
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,20 +319,36 @@ class TestSolveXi:
         assert res.placement_index == 0
         assert res.centers == pytest.approx((1 / 3, 2 / 3))
 
-    def test_support_and_antiderivative(self):
+    def test_support(self):
         xs, hs = graph_samples()
         res = deform.solve_xi(xs, hs, 0.2, -0.1)
-        assert res.func.xi(-0.01) == 0.0
-        assert res.func.xi(1.01) == 0.0
-        assert res.func.Xi(0.0) == 0.0
-        # int xi = -y0
-        assert res.func.Xi(1.0) == pytest.approx(0.1, abs=1e-10)
+        assert res.support == (0.0, 1.0)
+        assert res.xi(-0.01) == 0.0
+        assert res.xi(1.01) == 0.0
+        assert res.xi_prime(-0.01) == 0.0
+        assert res.xi_prime(1.01) == 0.0
+
+    def test_result_holds_numbers_only(self):
+        # xi and xi' come from the coefficients, centres and width; the
+        # dense table is build_G's, so the result keeps no array of it
+        xs, hs = graph_samples()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = deform.solve_xi(xs, hs, 0.2, -0.1)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 0.1 * 2 ** 20
+        for name, value in vars(res).items():
+            assert not callable(value), name
+            assert np.size(value) <= 2, name
 
     def test_zero_targets_give_zero_xi(self):
         xs, hs = graph_samples()
         res = deform.solve_xi(xs, hs, 0.0, 0.0)
         assert np.allclose(res.coefficients, 0.0)
-        assert np.max(np.abs(res.func.xi(xs))) == 0.0
+        assert np.max(np.abs(res.xi(xs))) == 0.0
 
     def test_affine_graph_is_degenerate(self):
         xs = np.linspace(0.0, 1.0, 4097)
@@ -375,10 +391,27 @@ class TestBuildG:
         dev = vals - template - g.constant
         assert np.max(np.abs(dev)) <= 1e-10
 
+    def test_y_slope_is_the_primitive_of_xi(self):
+        # G - saddle = y Xi(x) - V(x), so the y-slope is Xi = int_0^x xi:
+        # exactly 0 at the window's left end and -y0 = 0.1 at its right end
+        h_samples, xi = xi_for_tests()
+        dom = GridSpec(nx=41, ny=21, hx=1.4 / 40, hy=2.0 / 20,
+                       origin=(-0.2, -1.0), periodic_y=False)
+        g = deform.build_G(h_samples, xi, dom)
+        slope = lambda x: g.G(x, 1.0) - g.G(x, 0.0) - (
+            deform._saddle(x, 1.0) - deform._saddle(x, 0.0))
+        assert slope(0.0) == 0.0
+        assert slope(1.0) == pytest.approx(0.1, abs=1e-10)
+        assert slope(1.25) == pytest.approx(0.1, abs=1e-10)
+
     def test_inconsistent_antiderivative_rejected(self):
         (h_samples, xi) = xi_for_tests()
-        broken = replace(xi, func=replace(
-            xi.func, Xi=lambda x: 0.9 * xi.func.Xi(x)))
+
+        class Skewed(deform.XiResult):
+            def xi_prime(self, x):
+                return 0.9 * super().xi_prime(x)
+
+        broken = Skewed(**vars(xi))
         dom = GridSpec(nx=41, ny=21, hx=1.4 / 40, hy=2.0 / 20,
                        origin=(-0.2, -1.0), periodic_y=False)
         with pytest.raises(ClosednessViolation):

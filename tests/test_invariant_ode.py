@@ -233,7 +233,7 @@ class TestAgainstScipy:
                         limit=200)[0]
                    + quad(tail, v0 + 1.0, np.inf, epsabs=1e-12, epsrel=1e-12,
                           limit=200)[0])
-        assert iode.estimate_delta(v0) == pytest.approx(ref, rel=1e-13)
+        assert iode.estimate_delta(v0) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 class TestIntegratorFailure:
@@ -242,6 +242,12 @@ class TestIntegratorFailure:
         with pytest.warns(UserWarning, match="larger nsteps"):
             with pytest.raises(IntegratorFailure, match="return code -2"):
                 iode.integrate(0.0, 1.0)
+
+    @pytest.mark.parametrize("v0", [163.7, 200.0, 335.0])
+    def test_overflowing_error_norm_is_a_typed_failure(self, v0):
+        # 2 cosh 2v0 / atol, squared, passes float64's range from v0 ~ 163.6
+        with pytest.raises(IntegratorFailure, match="overflows"):
+            iode.integrate(v0, 0.5 * iode.estimate_delta(v0))
 
     def test_cli_exits_with_diverged_code(self, monkeypatch, tmp_path):
         monkeypatch.setattr(iode, "_MAX_STEPS", 5)
