@@ -558,8 +558,9 @@ def cmd_demo(args) -> int:
     from .deform import plateau_mask
 
     fine = args.fine
-    if fine % 2 or fine < 32:
-        raise ValueError("--fine must be an even integer >= 32")
+    # the Richardson step reads the centre of the fine // 2 chart
+    if fine % 4 or fine < 32:
+        raise ValueError("--fine must be a multiple of 4, at least 32")
     center, r = _BUMP_CENTER, _BUMP_R
 
     # sweep on the fine grid: the bump plateau keeps lambda+ below 1
@@ -681,7 +682,8 @@ def _build_parser() -> _Parser:
     q = sub.add_parser("demo",
                        help="curvature opening on the invariant chart")
     q.add_argument("--fine", type=_pos_int, default=128,
-                   help="fine grid resolution (default 128)")
+                   help="fine grid resolution, a multiple of 4 and at "
+                   "least 32 (default 128)")
     q.set_defaults(fn=cmd_demo)
 
     for q in sub.choices.values():

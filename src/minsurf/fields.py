@@ -277,22 +277,24 @@ class OperatorField:
         inv[..., 1, 1] = self.a11
         return OperatorField(self.spec, inv / d[..., None, None])
 
-    def __matmul__(self, other: "OperatorField") -> "OperatorField":
+    def _on_grid(self, other: "OperatorField") -> np.ndarray:
         if other.spec != self.spec:
             raise ValueError("operator grids differ")
-        return OperatorField(self.spec, self.mat @ other.mat)
+        return other.mat
+
+    def __matmul__(self, other: "OperatorField") -> "OperatorField":
+        return OperatorField(self.spec, self.mat @ self._on_grid(other))
 
     def __add__(self, other: "OperatorField") -> "OperatorField":
-        return OperatorField(self.spec, self.mat + other.mat)
+        return OperatorField(self.spec, self.mat + self._on_grid(other))
 
     def __sub__(self, other: "OperatorField") -> "OperatorField":
-        return OperatorField(self.spec, self.mat - other.mat)
+        return OperatorField(self.spec, self.mat - self._on_grid(other))
 
     def __mul__(self, other) -> "OperatorField":
-        # scalar, (nx, ny) array, or ScalarField; broadcast over matrix slots
-        if isinstance(other, ScalarField):
-            other = other.values
-        other = np.asarray(other, dtype=float)
+        # scalar, (nx, ny) array, or ScalarField on the same grid; broadcast
+        # over matrix slots
+        other = np.asarray(_coerce(self.spec, other), dtype=float)
         if other.ndim == 2:
             other = other[..., None, None]
         return OperatorField(self.spec, self.mat * other)

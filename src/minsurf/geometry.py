@@ -14,8 +14,9 @@ Gauss equation reduces to the cosh-Gordon equation
 The locus Z = {u = 0} is where |principal curvature| = 1; on a weakly bounded
 chart (u >= 0) it is the closure of the curvature-extreme set.
 
-principal_curvatures gives the eigenvalue fields alone; principal_frames
-builds eigenframes of stacked 2x2 matrices (a grid, or one node) on demand.
+B is diagonal in these coordinates, so the principal directions are the
+coordinate axes; principal_curvatures keeps the general 2x2 eigenvalue
+formula because a B recovered from a flowed immersion is not diagonal.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "embedding_data",
     "third_form",
     "principal_curvatures",
-    "principal_frames",
     "gauss_residual",
 ]
 
@@ -88,15 +88,15 @@ def third_form(s: SurfaceData) -> OperatorField:
 @dataclass(frozen=True)
 class PrincipalCurvatures:
     """Eigenvalues lambda_plus >= lambda_minus of a shape operator field;
-    no reference to the operator is kept (frames: principal_frames)."""
+    no reference to the operator is kept."""
 
     lambda_plus: ScalarField
     lambda_minus: ScalarField
 
 
 def _eigenvalues(m: np.ndarray):
-    """lambda+, lambda- and discriminant tr^2 - 4 det of stacked 2x2 matrices
-    m[..., 2, 2]; ComplexEigenvalues if it is below -UMBILIC_TOL anywhere."""
+    """lambda+ and lambda- of stacked 2x2 matrices m[..., 2, 2];
+    ComplexEigenvalues if tr^2 - 4 det is below -UMBILIC_TOL anywhere."""
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     tr = a + d
     disc = tr * tr - 4.0 * (a * d - b * c)
@@ -104,71 +104,15 @@ def _eigenvalues(m: np.ndarray):
     if dmin < -UMBILIC_TOL:
         raise ComplexEigenvalues(dmin)
     sq = np.sqrt(np.maximum(disc, 0.0))
-    return 0.5 * (tr + sq), 0.5 * (tr - sq), disc
-
-
-def _eigvec(a, b, c, d, lam) -> np.ndarray:
-    """Nullspace direction of ([[a,b],[c,d]] - lam) for stacked scalars."""
-    # rows of (A - lam): (a-lam, b) and (c, d-lam); the nullspace vector can be
-    # read off either row, pick the numerically larger candidate
-    x1, y1, x2, y2 = b, lam - a, lam - d, c
-    n1 = np.hypot(x1, y1)
-    n2 = np.hypot(x2, y2)
-    pick = n1 >= n2
-    n = np.where(pick, n1, n2)
-    deg = n < 1e-300  # exactly umbilic node, caller masks it out
-    n = np.where(deg, 1.0, n)
-    x = np.where(deg, 1.0, np.where(pick, x1, x2) / n)
-    y = np.where(deg, 0.0, np.where(pick, y1, y2) / n)
-    return np.stack([x, y], axis=-1)
-
-
-def _metric_normalize(v: np.ndarray, g: np.ndarray | None) -> np.ndarray:
-    if g is None:
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-    q = (
-        g[..., 0, 0] * v[..., 0] ** 2
-        + (g[..., 0, 1] + g[..., 1, 0]) * v[..., 0] * v[..., 1]
-        + g[..., 1, 1] * v[..., 1] ** 2
-    )
-    return v / np.sqrt(q)[..., None]
-
-
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    flip = (v[..., 0] < 0) | ((v[..., 0] == 0) & (v[..., 1] < 0))
-    return np.where(flip[..., None], -v, v)
+    return 0.5 * (tr + sq), 0.5 * (tr - sq)
 
 
 def principal_curvatures(B: OperatorField) -> PrincipalCurvatures:
     """Eigenvalue fields of B.  Raises ComplexEigenvalues if tr^2 - 4 det
     drops below -UMBILIC_TOL anywhere."""
-    lam_plus, lam_minus, _ = _eigenvalues(B.mat)
+    lam_plus, lam_minus = _eigenvalues(B.mat)
     return PrincipalCurvatures(lambda_plus=ScalarField(B.spec, lam_plus),
                                lambda_minus=ScalarField(B.spec, lam_minus))
-
-
-def principal_frames(B: np.ndarray, metric: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenframe (e_plus, e_minus, defined) of stacked 2x2 matrices.
-
-    B and metric are (..., 2, 2) arrays: a grid's OperatorField.mat, or one
-    node's matrix.  e_plus and e_minus (shape (..., 2)) are unit vectors
-    w.r.t. metric, else Euclidean, fixed by the sign convention: nonnegative
-    x-component, ties broken by nonnegative y-component.  defined is False
-    at (near-)umbilic nodes, where the discriminant is at most UMBILIC_TOL;
-    there the frame falls back to the coordinate axes.  Raises
-    ComplexEigenvalues as principal_curvatures does.
-    """
-    lam_plus, lam_minus, disc = _eigenvalues(B)
-    defined = disc > UMBILIC_TOL
-    a, b, c, d = B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1]
-
-    def frame(lam, axis):
-        v = _fix_sign(_metric_normalize(_eigvec(a, b, c, d, lam), metric))
-        fallback = _metric_normalize(np.broadcast_to(axis, v.shape), metric)
-        return np.where(defined[..., None], v, fallback)
-
-    return frame(lam_plus, (1.0, 0.0)), frame(lam_minus, (0.0, 1.0)), defined
 
 
 def gauss_residual(s: SurfaceData) -> ScalarField:

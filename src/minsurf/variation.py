@@ -8,11 +8,11 @@ the embedding data along the flow sigma + (tf) nu are, in chart coordinates,
     dB/dt   = Hess^{(1,1)} f + f (B^2 - Id)
 
 with Hess^{(1,1)} = I^{-1} Hess f.  Because the chart metric is conformal and
-II = diag(1, -1), the trace of dB/dt against the eigenframe of B
-(geometry.principal_frames) yields the rate of change of the principal
-curvatures; on the locus Z = {u = 0} where B^2 = Id, that rate is just the
-Hessian diagonal in the eigenframe, which is what the deformation
-construction drives negative.
+II = diag(1, -1), B is diagonal in chart coordinates: the principal
+directions are the coordinate axes, and the rates of the principal
+curvatures are the diagonal of dB/dt.  On the locus Z = {u = 0}, where
+B^2 = Id, that is the diagonal of I^{-1} Hess f, which is what the
+deformation construction drives negative.
 
 Every formula here is checked against an independent oracle that flows the
 immersion by +-t, recovers the forms by finite differences, and central-
@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import NotOnZ
 from .fields import GridSpec, OperatorField, ScalarField, diff1, diff2
-from .geometry import (SurfaceData, embedding_data, principal_frames,
-                       third_form)
+from .geometry import SurfaceData, embedding_data, third_form
 from .immersion import ImmersionGrid, forms_from_immersion, normal_flow
 
 # |u| at a node above which curvature_rate_at_Z refuses it as off the locus
@@ -108,10 +107,9 @@ def curvature_rate_at_Z(
 ) -> tuple[float, float]:
     """Rates of the principal curvatures at a zero-locus node.
 
-    At u = 0 the shape operator is diag(1, -1) with I-unit eigenframe e+, e-
-    (principal_frames of the node's B with I as the metric); the eigenvalue
-    rates are the diagonal Hessian entries
-    (d lambda_+/dt, d lambda_-/dt) = (Hess f(e+, e+), Hess f(e-, e-)).
+    At u = 0 the shape operator is diag(1, -1) on the coordinate axes and
+    B^2 = Id, so the eigenvalue rates are the diagonal of I^{-1} Hess f:
+    (d lambda_+/dt, d lambda_-/dt) = (hessian_11 f [x, x], hessian_11 f [y, y]).
     Raises NotOnZ when |u(node)| > 1e-8.  Evaluated on the node's
     neighbourhood, bitwise as on the whole grid.
     """
@@ -134,10 +132,8 @@ def curvature_rate_at_Z(
     s = SurfaceData(ScalarField(win, s.u.values[cut]))
     f = ScalarField(win, f.values[cut])
     i, j = i - rows[0], j - cols[0]
-    I, _, B = embedding_data(s)
-    ep, em, _ = principal_frames(B.mat[i, j], I.mat[i, j])
-    H = cov_hessian(s, f).mat[i, j]
-    return float(ep @ H @ ep), float(em @ H @ em)
+    h = hessian_11(s, f).mat[i, j]
+    return float(h[0, 0]), float(h[1, 1])
 
 
 def immersion_fd_rate(

@@ -683,6 +683,13 @@ class TestDemo:
         # the transition-ring defect shows at the largest sweep time
         assert rep["sweep"]["0.01"]["outside_unit_interval"] > 0
 
+    @pytest.mark.parametrize("fine", [34, 30, 28])
+    def test_fine_grid_without_a_coarse_centre_is_refused(self, fine, capsys):
+        # the coarse chart fine // 2 has a node at its centre only when 4
+        # divides fine
+        assert run(["demo", "--fine", str(fine)]) == 64
+        assert "multiple of 4" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_no_arguments(self):

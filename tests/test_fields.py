@@ -240,6 +240,16 @@ class TestOperatorField:
         assert np.allclose(A.a11, f.values)
         assert np.allclose(A.a12, 0.0)
 
+    def test_arithmetic_refuses_another_grid(self):
+        # same shape, different spacing: as ScalarField arithmetic and @ do
+        a, b = (GridSpec(nx=4, ny=4, hx=h, hy=0.1, periodic_y=False)
+                for h in (0.1, 0.2))
+        A, B = OperatorField.identity(a), OperatorField.identity(b)
+        for combine in (lambda: A @ B, lambda: A + B, lambda: A - B,
+                        lambda: A * ScalarField.zeros(b)):
+            with pytest.raises(ValueError, match="grids differ"):
+                combine()
+
 
 # ---------------------------------------------------------------------------
 # properties of the shared codec and of the periodic wrap

@@ -15,7 +15,6 @@ from minsurf.geometry import (
     embedding_data,
     gauss_residual,
     principal_curvatures,
-    principal_frames,
     third_form,
 )
 from minsurf.errors import ComplexEigenvalues
@@ -95,10 +94,6 @@ class TestPrincipalCurvatures:
         pc = principal_curvatures(B)
         assert np.allclose(pc.lambda_plus.values, 2.0)
         assert np.allclose(pc.lambda_minus.values, 1.0)
-        e_plus, _, defined = principal_frames(B.mat)
-        assert defined.all()
-        assert np.allclose(np.abs(e_plus[..., 0]), 1.0)
-        assert np.allclose(e_plus[..., 1], 0.0)
 
     def test_rotated_operator(self):
         th = 0.3
@@ -111,17 +106,6 @@ class TestPrincipalCurvatures:
         pc = principal_curvatures(B)
         assert np.allclose(pc.lambda_plus.values, 1.5)
         assert np.allclose(pc.lambda_minus.values, -0.5)
-        # eigenvector defined up to sign
-        v = principal_frames(B.mat)[0][0, 0]
-        assert min(np.linalg.norm(v - R[:, 0]),
-                   np.linalg.norm(v + R[:, 0])) <= 1e-12
-
-    def test_metric_normalization(self, chart64):
-        I, _, B = embedding_data(chart64)
-        v, _, _ = principal_frames(B.mat, I.mat)
-        quad = (I.a11 * v[..., 0] ** 2 + 2 * I.a12 * v[..., 0] * v[..., 1]
-                + I.a22 * v[..., 1] ** 2)
-        assert np.allclose(quad, 1.0)
 
     def test_invariant_chart_curvatures(self, chart64):
         _, _, B = embedding_data(chart64)
@@ -131,11 +115,6 @@ class TestPrincipalCurvatures:
         assert np.allclose(pc.lambda_minus.values, -1.0 / e2u)
         # product is the extrinsic curvature -e^{-4u}, always in (-1, 0]
         assert np.all(pc.lambda_plus.values * pc.lambda_minus.values >= -1.0)
-
-    def test_near_umbilic_flagged(self):
-        B = OperatorField.from_diag(self.spec(), 1.0, 1.0 + 1e-9)
-        _, _, defined = principal_frames(B.mat)
-        assert not defined.any()
 
     def test_complex_eigenvalues_raise(self):
         B = OperatorField.from_components(self.spec(), 0.0, -1.0, 1.0, 0.0)
@@ -163,41 +142,6 @@ class TestPrincipalCurvatures:
         pc = principal_curvatures(I.inverse() @ II)
         assert np.all(pc.lambda_minus.values <= pc.lambda_plus.values)
 
-
-def eager_frame(B, lam, metric, axis, defined):
-    """Reference eigenframe, written out on OperatorFields: norm-based row
-    pick, metric normalization, sign fix, axis fallback."""
-    a, b, c, d = B.a11, B.a12, B.a21, B.a22
-    v1 = np.stack([b, lam - a], axis=-1)
-    v2 = np.stack([lam - d, c], axis=-1)
-    n1 = np.linalg.norm(v1, axis=-1)
-    n2 = np.linalg.norm(v2, axis=-1)
-    v = np.where((n1 >= n2)[..., None], v1, v2)
-    n = np.linalg.norm(v, axis=-1)
-    deg = n < 1e-300
-    v = np.where(deg[..., None], np.array([1.0, 0.0]),
-                 v / np.where(deg, 1.0, n)[..., None])
-
-    def normalize(w):
-        if metric is None:
-            return w / np.linalg.norm(w, axis=-1, keepdims=True)
-        g = metric.mat
-        q = (g[..., 0, 0] * w[..., 0] ** 2
-             + (g[..., 0, 1] + g[..., 1, 0]) * w[..., 0] * w[..., 1]
-             + g[..., 1, 1] * w[..., 1] ** 2)
-        return w / np.sqrt(q)[..., None]
-
-    v = normalize(v)
-    flip = (v[..., 0] < 0) | ((v[..., 0] == 0) & (v[..., 1] < 0))
-    v = np.where(flip[..., None], -v, v)
-    fallback = normalize(np.broadcast_to(np.array(axis), v.shape).copy())
-    return np.where(defined[..., None], v, fallback)
-
-
-class TestPrincipalFrames:
-    def spec(self):
-        return GridSpec(nx=4, ny=5, hx=0.1, hy=0.1, periodic_y=False)
-
     def test_record_holds_only_eigenvalues(self, chart64):
         _, _, B = embedding_data(chart64)
         pc = principal_curvatures(B)
@@ -209,62 +153,3 @@ class TestPrincipalFrames:
         del B
         assert mat() is None
         assert pc.lambda_minus.values.shape == chart64.spec.shape
-
-    def test_one_node_matches_the_grid(self):
-        # curvature_rate_at_Z builds the frame of one node's matrices
-        rng = np.random.default_rng(7)
-        spec = self.spec()
-        g = rng.uniform(0.5, 2.0, spec.shape)
-        p, q, r = (rng.uniform(-1.0, 1.0, spec.shape) for _ in range(3))
-        I = OperatorField.from_components(spec, g, 0.1 * g, 0.1 * g, 1.5 * g)
-        B = I.inverse() @ OperatorField.from_components(spec, p, q, q, r)
-        for metric in (None, I.mat):
-            grid = principal_frames(B.mat, metric)
-            for i, j in np.ndindex(spec.shape):
-                node = principal_frames(
-                    B.mat[i, j], None if metric is None else metric[i, j])
-                for a, b in zip(node, grid):
-                    assert np.array_equal(a, b[i, j])
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), with_metric=st.booleans())
-    def test_frames_equal_eager_construction(self, data, with_metric):
-        # B = I^-1 II with I positive definite and II symmetric has real
-        # eigenvalues; II = k I on the drawn umbilic nodes
-        spec = self.spec()
-
-        def draw(lo, hi, dtype=float):
-            elements = (st.booleans() if dtype is bool
-                        else st.floats(lo, hi))
-            return data.draw(arrays(dtype, spec.shape, elements=elements))
-
-        th, l1, l2 = draw(0.0, np.pi), draw(0.5, 2.0), draw(0.5, 2.0)
-        c, s = np.cos(th), np.sin(th)
-        g = (c * c * l1 + s * s * l2, c * s * (l1 - l2), s * s * l1 + c * c * l2)
-        I = OperatorField.from_components(spec, g[0], g[1], g[1], g[2])
-        p, q, r, k = (draw(-1.0, 1.0) for _ in range(4))
-        umbilic = draw(None, None, bool)
-        II = OperatorField.from_components(
-            spec, np.where(umbilic, k * g[0], p), np.where(umbilic, k * g[1], q),
-            np.where(umbilic, k * g[1], q), np.where(umbilic, k * g[2], r))
-        B = I.inverse() @ II
-        metric = I if with_metric else None
-        pc = principal_curvatures(B)
-        e_plus, e_minus, defined = principal_frames(
-            B.mat, None if metric is None else metric.mat)
-        assert not defined[umbilic].any()
-        disc = (B.a11 + B.a22) ** 2 - 4.0 * B.det()
-        separated = disc > 1e-6
-        for frame, lam, axis in ((e_plus, pc.lambda_plus, (1.0, 0.0)),
-                                 (e_minus, pc.lambda_minus, (0.0, 1.0))):
-            eager = eager_frame(B, lam.values, metric, axis, defined)
-            # undefined nodes take the same axis fallback, bit for bit
-            assert np.array_equal(frame[~defined], eager[~defined])
-            # separated nodes agree to rounding; the sign convention can
-            # only differ where the x-component itself is at rounding level
-            diff = np.minimum(np.abs(frame - eager).max(axis=-1),
-                              np.abs(frame + eager).max(axis=-1))
-            assert np.all(diff[separated] <= 1e-9)
-            clear = separated & (np.abs(eager[..., 0]) > 1e-6)
-            assert np.allclose(frame[clear], eager[clear], rtol=0, atol=1e-9)
-

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from minsurf.fields import GridSpec, OperatorField, ScalarField, laplacian
 from minsurf import variation as var
 from minsurf import deform
-from minsurf.geometry import SurfaceData, embedding_data, principal_frames
+from minsurf.geometry import SurfaceData, embedding_data
 from minsurf.invariant_ode import to_surface
 from minsurf.errors import NotOnZ
 
@@ -176,18 +176,26 @@ class TestCurvatureRateAtZ:
         with pytest.raises(NotOnZ):
             var.curvature_rate_at_Z(chart64, bump64, (10, 16))
 
+    def test_rates_are_the_shape_rate_diagonal_on_the_locus(self, chart64,
+                                                            bump64):
+        # B is diagonal on the chart and B^2 = Id on Z, so the rates are the
+        # diagonal of dB/dt, the field criterion 05 checks against the
+        # flowed immersion
+        rate = var.shape_rate(chart64, bump64).mat
+        for j in range(chart64.spec.ny):
+            assert hexes(var.curvature_rate_at_Z(chart64, bump64, (32, j))) \
+                == hexes((float(rate[32, j, 0, 0]), float(rate[32, j, 1, 1])))
+
 
 def hexes(rates):
     return [r.hex() for r in rates]
 
 
 def whole_grid_rate_at(s, f, node):
-    """Reference: curvature_rate_at_Z's formula read off whole-grid fields."""
-    i, j = node
-    I, _, B = embedding_data(s)
-    ep, em, _ = principal_frames(B.mat[i, j], I.mat[i, j])
-    H = var.cov_hessian(s, f).mat[i, j]
-    return float(ep @ H @ ep), float(em @ H @ em)
+    """Reference: curvature_rate_at_Z's formula read off the whole-grid
+    hessian_11 diagonal."""
+    h = var.hessian_11(s, f).mat[node]
+    return float(h[0, 0]), float(h[1, 1])
 
 
 class TestCurvatureRateWindow:
