@@ -154,15 +154,15 @@ def _surface_params(args) -> dict:
             "ny": args.ny, "period": args.period}
 
 
-def _add_surface_flags(p, nx=129, ny=128):
+def _add_surface_flags(p):
     p.add_argument("--input", metavar="CSV",
                    help="chart data u as CSV (from `minsurf solve --csv`)")
     p.add_argument("--v0", type=_nonneg_float, default=0.0,
                    help="invariant profile value at the axis (default 0)")
     p.add_argument("--width", type=_pos_float, default=1.0,
                    help="strip width of the built chart (default 1.0)")
-    p.add_argument("--nx", type=_pos_int, default=nx)
-    p.add_argument("--ny", type=_pos_int, default=ny)
+    p.add_argument("--nx", type=_pos_int, default=129)
+    p.add_argument("--ny", type=_pos_int, default=128)
     p.add_argument("--period", type=_pos_float, default=1.0,
                    help="period of the chart in y (default 1.0)")
 

@@ -190,6 +190,8 @@ class ScalarField:
         return ScalarField(self.spec, self.values - _coerce(self.spec, other))
 
     def __mul__(self, other):
+        if isinstance(other, OperatorField):
+            return NotImplemented
         return ScalarField(self.spec, self.values * _coerce(self.spec, other))
 
     __rmul__ = __mul__
@@ -224,6 +226,8 @@ class OperatorField:
 
     spec: GridSpec
     mat: np.ndarray = field(repr=False)
+
+    __array_ufunc__ = None  # an array on the left of * defers to __rmul__
 
     def __post_init__(self):
         mat = _as_grid_array(self.mat, (*self.spec.shape, 2, 2), "operator field")

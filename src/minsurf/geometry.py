@@ -37,26 +37,15 @@ __all__ = [
     "gauss_residual",
 ]
 
-WEAK_BOUND_TOL = 1e-12
 UMBILIC_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SurfaceData:
-    """A chart: conformal factor exponent u, with an optional sign certificate.
-
-    weakly_bounded promises u >= 0 up to rounding; constructors that obtain u
-    from the invariant profile with v0 >= 0 set it.
-    """
+    """A chart: the conformal factor exponent u on a flat grid.  Whether
+    u >= 0 is read off u where it matters (deform.detect_z)."""
 
     u: ScalarField
-    weakly_bounded: bool = False
-
-    def __post_init__(self):
-        if self.weakly_bounded and float(self.u.values.min()) < -WEAK_BOUND_TOL:
-            raise ValueError(
-                f"weakly_bounded set but min u = {self.u.values.min():.3e}"
-            )
 
     @property
     def spec(self) -> GridSpec:

@@ -389,11 +389,8 @@ def length_lower_bound_check(sol: OdeSolution) -> LengthCheck:
 
 
 def to_surface(sol: OdeSolution, spec: GridSpec) -> SurfaceData:
-    """Sample u(x, y) = g(|x|) on a grid, certifying u >= 0.
-
-    The grid must sit strictly inside the maximal strip |x| < delta(v0) and
-    inside the integrated range.
-    """
+    """Sample u(x, y) = g(|x|) on a grid, which must sit strictly inside
+    the maximal strip |x| < delta(v0) and inside the integrated range."""
     xs = np.abs(spec.xs)
     xmax_req = float(xs.max())
     if xmax_req >= sol.delta_est:
@@ -407,5 +404,4 @@ def to_surface(sol: OdeSolution, spec: GridSpec) -> SurfaceData:
         )
     col = sol.g_at(xs)
     u = np.repeat(np.asarray(col)[:, None], spec.ny, axis=1)
-    # v0 >= 0 and g increasing in |x| make the chart weakly bounded
-    return SurfaceData(ScalarField(spec, u), weakly_bounded=True)
+    return SurfaceData(ScalarField(spec, u))

@@ -347,8 +347,7 @@ def solve(p: PdeProblem) -> SurfaceData:
         u[1:-1] = u_col[1:-1, :1]
     else:
         u = _newton(p)
-    weak = float(u.min()) >= -1e-12
-    return SurfaceData(ScalarField(spec, u), weakly_bounded=weak)
+    return SurfaceData(ScalarField(spec, u))
 
 
 def _newton(p: PdeProblem) -> np.ndarray:

@@ -55,4 +55,4 @@ def flat_chart():
     # so this one stays non-periodic
     spec = GridSpec(nx=33, ny=33, hx=1 / 32, hy=1 / 32,
                     origin=(-0.5, -0.5), periodic_y=False)
-    return SurfaceData(ScalarField.zeros(spec), weakly_bounded=True)
+    return SurfaceData(ScalarField.zeros(spec))

@@ -379,6 +379,18 @@ class TestBuildG:
         # the on-curve probe certifies the Hessian to 10 h^2 of its own step
         assert cert["curve_hessian_residual"] <= 10.0 * cert["curve_hessian_step"] ** 2
 
+    def test_probe_step_is_a_4096th_of_the_window(self):
+        # one step for every graph: on this gentle one it leaves the
+        # residual at least 10x under 10 h^2
+        h_samples, xi = xi_for_tests()
+        dom = GridSpec(nx=141, ny=81, hx=1.4 / 140, hy=2.0 / 80,
+                       origin=(-0.2, -1.0), periodic_y=False)
+        cert = deform.build_G(h_samples, xi, dom).certificate
+        x_lo, x_hi = xi.support
+        h = cert["curve_hessian_step"]
+        assert h == (x_hi - x_lo) / 4096
+        assert cert["curve_hessian_residual"] <= h ** 2
+
     def test_right_slab_is_shifted_template(self):
         h_samples, xi = xi_for_tests()
         dom = GridSpec(nx=141, ny=81, hx=1.4 / 140, hy=2.0 / 80,

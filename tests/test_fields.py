@@ -246,9 +246,22 @@ class TestOperatorField:
                 for h in (0.1, 0.2))
         A, B = OperatorField.identity(a), OperatorField.identity(b)
         for combine in (lambda: A @ B, lambda: A + B, lambda: A - B,
-                        lambda: A * ScalarField.zeros(b)):
+                        lambda: A * ScalarField.zeros(b),
+                        lambda: ScalarField.zeros(b) * A):
             with pytest.raises(ValueError, match="grids differ"):
                 combine()
+
+    @pytest.mark.parametrize("left", ["array", "ScalarField", "numpy scalar"])
+    def test_multiplication_from_the_left(self, left):
+        # the product is A's own, bit for bit, not an object array of fields
+        s = spec_np(6, 5)
+        A = OperatorField.from_components(s, 2.0, 1.0, 0.5, 3.0)
+        f = ScalarField.from_function(s, lambda x, y: 1.0 + x * x - 0.3 * y)
+        other = {"array": f.values, "ScalarField": f,
+                 "numpy scalar": np.float64(0.7)}[left]
+        P = other * A
+        assert type(P) is OperatorField and P.spec == s
+        assert np.array_equal(P.mat, (A * other).mat)
 
 
 # ---------------------------------------------------------------------------

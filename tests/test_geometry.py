@@ -76,13 +76,6 @@ class TestEmbeddingData:
         res = gauss_residual(s).values
         assert np.max(np.abs(res - (2.0 * (a + b) - cosh))) <= tol
 
-    def test_weakly_bounded_certificate(self):
-        spec = GridSpec(nx=5, ny=5, hx=0.1, hy=0.1, origin=(0, 0),
-                        periodic_y=False)
-        vals = np.full(spec.shape, -0.2)
-        with pytest.raises(ValueError, match="weakly_bounded"):
-            SurfaceData(ScalarField(spec, vals), weakly_bounded=True)
-
 
 class TestPrincipalCurvatures:
     def spec(self):
