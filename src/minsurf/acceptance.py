@@ -331,6 +331,9 @@ def _07_curvature_rates_at_zero_locus():
 
     Checked twice: the Hessian-eigenframe formula at the center node, and a
     central t-difference of the eigenvalues measured on flowed immersions.
+    lambda+ itself is checked too: extrapolated across h = 1/64 and 1/128,
+    which cancels the O(h^2) form-recovery bias, it is 1 - t to 1e-5 at the
+    center, and flowing by -t takes it above 1.
     """
     n = 128
     node = (n // 2, n // 2)  # chart point (0, 0.5), on the zero locus
@@ -343,15 +346,24 @@ def _07_curvature_rates_at_zero_locus():
                     float(pc.lambda_minus.values[node]))
     slope_p = (lam[1.0][0] - lam[-1.0][0]) / (2 * _FLOW_T)
     slope_m = (lam[1.0][1] - lam[-1.0][1]) / (2 * _FLOW_T)
+    # the same point is node (n // 4, n // 4) of the n // 2 chart
+    coarse = _curvatures(n // 2, _FLOW_T).lambda_plus.values[n // 4, n // 4]
+    centre = float((4.0 * lam[1.0][0] - coarse) / 3.0)
+    centre_err = abs(centre - (1.0 - _FLOW_T))
 
-    ok = max(abs(rate_p + 1.0), abs(rate_m - 1.0),
-             abs(slope_p + 1.0), abs(slope_m - 1.0)) <= 1e-2
+    ok = (max(abs(rate_p + 1.0), abs(rate_m - 1.0),
+              abs(slope_p + 1.0), abs(slope_m - 1.0)) <= 1e-2
+          and centre_err <= 1e-5 and lam[-1.0][0] > 1.0)
     return ok, {
         "formula_rate_plus": rate_p,
         "formula_rate_minus": rate_m,
         "measured_slope_plus": slope_p,
         "measured_slope_minus": slope_m,
         "tolerance": 1e-2,
+        "centre_extrapolated": centre,
+        "centre_error_vs_1_minus_t": centre_err,
+        "centre_tolerance": 1e-5,
+        "lambda_plus_at_negative_t": lam[-1.0][0],
     }
 
 

@@ -355,12 +355,6 @@ def cmd_deform(args) -> int:
     return EXIT_OK
 
 
-def _outside_unit_interval(pc, interior) -> int:
-    """Interior nodes where lambda+ > 1 or lambda- < -1."""
-    out = (pc.lambda_plus.values > 1.0) | (pc.lambda_minus.values < -1.0)
-    return int(out[interior].sum())
-
-
 def cmd_flow(args) -> int:
     from .deform import build_point_f, plateau_mask
     from .geometry import principal_curvatures
@@ -391,7 +385,9 @@ def cmd_flow(args) -> int:
             "interior_max": float(lam_minus[interior].max()),
             "interior_min": float(lam_minus[interior].min()),
         },
-        "outside_unit_interval": _outside_unit_interval(pc, interior),
+        # interior nodes where lambda+ > 1 or lambda- < -1
+        "outside_unit_interval": int(
+            ((lam > 1.0) | (lam_minus < -1.0))[interior].sum()),
     }
     _emit(args, report)
     return EXIT_OK
@@ -551,71 +547,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 
-def cmd_demo(args) -> int:
-    """Flow the invariant chart by a curvature-opening bump and watch the
-    top principal curvature leave 1 at unit rate."""
-    from .acceptance import _BUMP_CENTER, _BUMP_R, _SWEEP, _chart, _curvatures
-    from .deform import plateau_mask
-
-    fine = args.fine
-    # the Richardson step reads the centre of the fine // 2 chart
-    if fine % 4 or fine < 32:
-        raise ValueError("--fine must be a multiple of 4, at least 32")
-    center, r = _BUMP_CENTER, _BUMP_R
-
-    # sweep on the fine grid: the bump plateau keeps lambda+ below 1
-    spec = _chart(fine).spec
-    plateau = plateau_mask(spec, center, r)
-    interior = spec.interior_mask()
-    node_f = (fine // 2, fine // 2)
-    node_c = (fine // 4, fine // 4)
-    sweep = {}
-    for t in _SWEEP:
-        pc = _curvatures(fine, t)
-        lam = pc.lambda_plus.values
-        sweep[t] = {
-            "plateau_max": float(lam[plateau].max()),
-            "center": float(lam[node_f]),
-            "lambda_minus_min": float(pc.lambda_minus.values[interior].min()),
-            "outside_unit_interval": _outside_unit_interval(pc, interior),
-        }
-    plateau_ok = all(v["plateau_max"] < 1.0 for v in sweep.values())
-
-    # at t = 1e-3 (a sweep time) the center value matches 1 - t to 1e-5 once
-    # the O(h^2) recovery bias is removed by Richardson extrapolation across
-    # h, h/2
-    t_ref = 1e-3
-    lam_f = sweep[t_ref]["center"]
-    lam_c = _curvatures(fine // 2, t_ref).lambda_plus.values[node_c]
-    center_extrap = float((4.0 * lam_f - lam_c) / 3.0)
-    center_err = abs(center_extrap - (1.0 - t_ref))
-    center_ok = center_err <= 1e-5
-
-    # measured slope of lambda+ in t at the center, and the sign flip for
-    # t < 0 (the deformation direction matters)
-    lam_neg = float(_curvatures(fine, -t_ref).lambda_plus.values[node_f])
-    slope = float((lam_f - lam_neg) / (2 * t_ref))
-    slope_ok = abs(slope + 1.0) <= 1e-2
-    neg_ok = lam_neg > 1.0
-
-    ok = plateau_ok and center_ok and slope_ok and neg_ok
-    report = {
-        "params": {"fine": fine, "bump_center": list(center), "bump_r": r},
-        "sweep": {f"{t:g}": v for t, v in sweep.items()},
-        "plateau_below_1": plateau_ok,
-        "center_extrapolated": center_extrap,
-        "center_error_vs_1_minus_t": center_err,
-        "center_tolerance": 1e-5,
-        "slope_dlambda_dt": slope,
-        "slope_tolerance": 1e-2,
-        "lambda_at_negative_t": lam_neg,
-        "negative_t_exceeds_1": neg_ok,
-        "passed": ok,
-    }
-    _emit(args, report)
-    return EXIT_OK if ok else EXIT_VERIFY
-
-
 # ---------------------------------------------------------------------------
 # wiring
 
@@ -678,13 +609,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--only", action="append", metavar="NAME",
                    help="run a single criterion (repeatable)")
     q.set_defaults(fn=cmd_verify)
-
-    q = sub.add_parser("demo",
-                       help="curvature opening on the invariant chart")
-    q.add_argument("--fine", type=_pos_int, default=128,
-                   help="fine grid resolution, a multiple of 4 and at "
-                   "least 32 (default 128)")
-    q.set_defaults(fn=cmd_demo)
 
     for q in sub.choices.values():
         q.add_argument("--out", help="JSON report path (default stdout)")

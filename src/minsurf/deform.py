@@ -333,28 +333,34 @@ def detect_z(s: SurfaceData, tol_z: float = TOL_Z_DEFAULT) -> list[ZComponent]:
                 spany = float(raw[:, 1].max() - raw[:, 1].min())
             diam = float(np.hypot(spanx, spany))
         else:
-            dx = raw[:, 0][:, None] - raw[:, 0][None, :]
-            dy = spec.wrap_dy(raw[:, 1][:, None] - raw[:, 1][None, :])
-            diam = float(np.max(np.hypot(dx, dy)))
+            # in whole grid steps, so that a diameter of exactly 3 steps
+            # meets the threshold whatever the coordinates round to
+            di, dj = (nodes[:, None, :] - nodes[None, :, :]).T
+            if spec.periodic_y:
+                dj = (dj + spec.ny // 2) % spec.ny - spec.ny // 2
+            diam = float(np.max(np.hypot(di * spec.hx, dj * spec.hy)))
         if diam <= 3 * h:
+            # y offsets from the first node, so that a Point on the
+            # periodic seam is centred where it lies
             center = raw.mean(axis=0)
-            out.append(ZComponent(
-                kind="Point", spec=spec, nodes=nodes, points=raw,
-                center=center, diameter=diam))
+            center[1] = raw[0, 1] + spec.wrap_dy(raw[:, 1] - raw[0, 1]).mean()
+            comp = ZComponent(kind="Point", spec=spec, nodes=nodes,
+                              points=raw, center=center, diameter=diam)
         else:
             skeleton = _thin_band(nodes, u, spec)
             chain, closed = _order_chain(skeleton, spec)
             pts = _chain_points(chain, spec)
             center = pts.mean(axis=0)
-            if spec.periodic_y:
-                oy = spec.origin[1]
-                center[1] = oy + (center[1] - oy) % spec.period_y
-            out.append(ZComponent(
+            comp = ZComponent(
                 kind="Curve", spec=spec, nodes=chain, points=pts,
                 center=center, diameter=diam, closed=closed,
                 line_deviation=_tls_line_deviation(pts),
                 dropped=len(skeleton) - len(chain),
-                thinned=len(nodes) - len(skeleton)))
+                thinned=len(nodes) - len(skeleton))
+        if spec.periodic_y:
+            oy = spec.origin[1]
+            center[1] = oy + (center[1] - oy) % spec.period_y
+        out.append(comp)
     out.sort(key=lambda c: (c.center[0], c.center[1]))
     return out
 

@@ -147,6 +147,16 @@ def _rhs(x, g, gp):
         return gp, math.inf
 
 
+def _rms(a: float, b: float, n: float = 1.0) -> float:
+    """sqrt((a^2 + b^2) / n), through math.hypot only where the squares
+    overflow float64, so that every other case keeps the plain formula's
+    bits."""
+    try:
+        return math.sqrt((a ** 2 + b ** 2) / n)
+    except OverflowError:
+        return math.hypot(a, b) / math.sqrt(n)
+
+
 def _dopri5(f, x, y0, y1, xend, rtol, atol, guard, nmax):
     """Hairer's DOPRI5 (code DOPCOR) for a system of two equations, in
     floats: f(x, y0, y1) returns (y0', y1').
@@ -171,14 +181,18 @@ def _dopri5(f, x, y0, y1, xend, rtol, atol, guard, nmax):
     # the larger of |y'| and an estimate of |y''| set to 0.01
     sk0 = atol + rtol * abs(y0)
     sk1 = atol + rtol * abs(y1)
-    dnf = (k1a / sk0) ** 2 + (k1b / sk1) ** 2
     dny = (y0 / sk0) ** 2 + (y1 / sk1) ** 2
-    h = (1.0e-6 if dnf <= 1.0e-10 or dny <= 1.0e-10
-         else math.sqrt(dny / dnf) * 0.01)
+    nf = _rms(k1a / sk0, k1b / sk1)
+    try:
+        dnf = (k1a / sk0) ** 2 + (k1b / sk1) ** 2
+        h = (1.0e-6 if dnf <= 1.0e-10 or dny <= 1.0e-10
+             else math.sqrt(dny / dnf) * 0.01)
+    except OverflowError:  # |y'| / atol squared, from v0 ~ 163.6 on
+        h = math.sqrt(dny) / nf * 0.01
     h = math.copysign(min(h, hmax), posneg)
     fa, fb = f(x + h, y0 + h * k1a, y1 + h * k1b)
-    der2 = math.sqrt(((fa - k1a) / sk0) ** 2 + ((fb - k1b) / sk1) ** 2) / h
-    der12 = max(abs(der2), math.sqrt(dnf))
+    der2 = _rms((fa - k1a) / sk0, (fb - k1b) / sk1) / h
+    der12 = max(abs(der2), nf)
     h1 = (max(1.0e-6, abs(h) * 1.0e-3) if der12 <= 1.0e-15
           else (0.01 / der12) ** (1.0 / 5))
     h = math.copysign(min(100 * abs(h), h1, hmax), posneg)
@@ -224,7 +238,7 @@ def _dopri5(f, x, y0, y1, xend, rtol, atol, guard, nmax):
               + _E7 * k7b) * h
         sk0 = atol + rtol * max(abs(y0), abs(n0))
         sk1 = atol + rtol * max(abs(y1), abs(n1))
-        err = math.sqrt(((ea / sk0) ** 2 + (eb / sk1) ** 2) / 2)
+        err = _rms(ea / sk0, eb / sk1, 2.0)
         fac11 = err ** expo1
         fac = max(facc2, min(facc1, fac11 / facold ** _BETA / _SAFE))
         hnew = h / fac
@@ -232,10 +246,9 @@ def _dopri5(f, x, y0, y1, xend, rtol, atol, guard, nmax):
             facold = max(err, 1.0e-4)
             naccpt += 1
             if naccpt % _NSTIFF == 0 or iasti > 0:
-                stnum = (k7a - k6a) ** 2 + (k7b - k6b) ** 2
-                stden = (n0 - ys0) ** 2 + (n1 - ys1) ** 2
+                stden = _rms(n0 - ys0, n1 - ys1)
                 if stden > 0.0:
-                    hlamb = h * math.sqrt(stnum / stden)
+                    hlamb = h * _rms(k7a - k6a, k7b - k6b) / stden
                 if hlamb > _STIFF_HLAMB:
                     nonsti = 0
                     iasti += 1
@@ -271,19 +284,15 @@ def integrate(v0: float, x_max: float, rtol: float = 1e-10) -> OdeSolution:
     Raises BlowUp(x_reached, g_reached) if the profile leaves the
     representable range first; the abscissa it carries approximates delta(v0).
     Any other integrator failure warns with DOPRI5's message and raises
-    IntegratorFailure, as does an error norm that overflows float64.
+    IntegratorFailure.
     """
     if v0 < 0:
         raise ValueError(f"v0 must be nonnegative, got {v0}")
     if not x_max > 0:
         raise ValueError(f"x_max must be positive, got {x_max}")
 
-    try:
-        code, rows = _dopri5(_rhs, 0.0, float(v0), 0.0, float(x_max), rtol,
-                             rtol * _ATOL_PER_RTOL, _GUARD_G, _MAX_STEPS)
-    except OverflowError:  # the initial step's (k / atol)^2 from v0 ~ 163.6
-        raise IntegratorFailure(
-            f"DOPRI5's error norm overflows float64 at v0 = {v0:g}") from None
+    code, rows = _dopri5(_rhs, 0.0, float(v0), 0.0, float(x_max), rtol,
+                         rtol * _ATOL_PER_RTOL, _GUARD_G, _MAX_STEPS)
     xs, g, gp = np.array(rows).T
     # code 2: the guard stopped it; code -3: step-size underflow against
     # dg/dx ~ e^g.  Both are the blow-up signature

@@ -44,3 +44,45 @@ def test_lanes_partition_the_registry():
     placed = [name for lane in acceptance.LANES.values() for name in lane]
     assert sorted(placed) == sorted(NAMES)
     assert len(set(placed)) == len(placed)
+
+
+def _criterion_07():
+    return acceptance.run_all(["07-curvature-rates-at-zero-locus"])[0]
+
+
+def test_criterion_07_checks_the_centre_value_and_the_sign_at_negative_t():
+    d = _criterion_07().details
+    assert d["centre_error_vs_1_minus_t"] <= d["centre_tolerance"] == 1e-5
+    assert d["lambda_plus_at_negative_t"] > 1.0
+
+
+def test_criterion_07_fails_for_the_negated_field(monkeypatch):
+    # the flows are cached across the session: flow the negated field on an
+    # empty cache, and leave none of its flows behind
+    bump = acceptance._bump
+    monkeypatch.setattr(acceptance, "_bump", lambda n: -bump(n))
+    acceptance._curvatures.cache_clear()
+    try:
+        r = _criterion_07()
+    finally:
+        acceptance._curvatures.cache_clear()
+    assert not r.passed
+    # each of the two checks on lambda+ fails on its own
+    assert r.details["centre_error_vs_1_minus_t"] > 1e-5
+    assert r.details["lambda_plus_at_negative_t"] < 1.0
+
+
+def test_run_all_flows_each_chart_and_time_once(monkeypatch):
+    # the flow cache is shared across the session: start it empty
+    acceptance._curvatures.cache_clear()
+    flows = []
+    inner = acceptance.normal_flow
+
+    def counted(g, f, t):
+        flows.append((g.spec.ny, t))
+        return inner(g, f, t)
+
+    monkeypatch.setattr(acceptance, "normal_flow", counted)
+    acceptance.run_all()
+    assert sorted(flows) == sorted(
+        [(128, t) for t in acceptance._SWEEP] + [(128, -1e-3), (64, 1e-3)])

@@ -56,10 +56,21 @@ class TestOde:
         assert rep["first_integral_residual"] > rep["residual_bound"]
         assert rep["first_integral_relative_residual"] <= rep["residual_bound"]
 
+    def test_profile_past_the_squares_overflow_passes(self, tmp_path):
+        # (2 cosh 2v0 / atol)^2 overflows float64 from v0 ~ 163.6; DOPRI5's
+        # norms take math.hypot there
+        out = tmp_path / "r.json"
+        assert run(["ode", "--v0", "200", "--out", str(out)]) == 0
+        rep = load(out)
+        assert rep["passed"] is True and rep["samples"] == 177
+        assert rep["delta"] == pytest.approx(2.17e-87, rel=1e-3)
+
     def test_overflowing_profile_is_a_typed_failure(self, capsys):
-        assert run(["ode", "--v0", "200"]) == 2
+        # at v0 = 335, the largest delta(v0) accepts, g'' = 2 cosh 2v0 is
+        # about 1e291 and the step size underflows at once
+        assert run(["ode", "--v0", "335"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("minsurf ode: IntegratorFailure:")
+        assert err.startswith("minsurf ode: BlowUp:")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("v0", ["0", "1"])
@@ -637,7 +648,7 @@ from minsurf.cli import main
 for argv in (["verify"],
              ["solve", "--width", "0.8", "--nx", "33", "--ny", "32"],
              ["flow", "--nx", "33", "--ny", "32", "--t", "1e-3"],
-             ["zlocus"], ["deform"], ["demo", "--fine", "32"]):
+             ["zlocus"], ["deform"]):
     out = os.path.join(sys.argv[1], argv[0] + ".json")
     assert main([*argv, "--out", out]) == 0, argv
     assert "numpy.random" not in sys.modules, argv
@@ -652,43 +663,6 @@ def test_no_subcommand_imports_scipy(tmp_path):
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
         timeout=300)
     assert proc.returncode == 0, proc.stderr
-
-
-class TestDemo:
-    def test_demo_passes_at_reduced_resolution(self, tmp_path, monkeypatch):
-        flows = []
-        inner = acceptance.normal_flow
-
-        def counted(g, f, t):
-            flows.append((g.spec.ny, t))
-            return inner(g, f, t)
-
-        # the demo flows through acceptance._curvatures, whose cache is
-        # shared across the session: start it empty
-        acceptance._curvatures.cache_clear()
-        monkeypatch.setattr(acceptance, "normal_flow", counted)
-        out = tmp_path / "demo.json"
-        assert run(["demo", "--fine", "64", "--out", str(out)]) == 0
-        # each sweep time once on the fine grid, then t = 1e-3 on the coarse
-        # grid and t = -1e-3 on the fine one: no flow is repeated
-        assert sorted(flows) == sorted(
-            [(64, t) for t in acceptance._SWEEP] + [(32, 1e-3), (64, -1e-3)])
-        rep = load(out)
-        assert rep["passed"] is True
-        assert rep["center_error_vs_1_minus_t"] <= rep["center_tolerance"]
-        assert abs(rep["slope_dlambda_dt"] + 1.0) <= rep["slope_tolerance"]
-        for v in rep["sweep"].values():
-            assert v["lambda_minus_min"] < 0.0
-            assert isinstance(v["outside_unit_interval"], int)
-        # the transition-ring defect shows at the largest sweep time
-        assert rep["sweep"]["0.01"]["outside_unit_interval"] > 0
-
-    @pytest.mark.parametrize("fine", [34, 30, 28])
-    def test_fine_grid_without_a_coarse_centre_is_refused(self, fine, capsys):
-        # the coarse chart fine // 2 has a node at its centre only when 4
-        # divides fine
-        assert run(["demo", "--fine", str(fine)]) == 64
-        assert "multiple of 4" in capsys.readouterr().err
 
 
 class TestUsage:

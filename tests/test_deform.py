@@ -245,6 +245,32 @@ class TestDetectZ:
         assert np.allclose(c.center, (0.0, 0.5))
         assert c.diameter == 0.0
 
+    def test_point_on_the_periodic_seam_is_centred_where_it_lies(self):
+        # five nodes at y = 0, one of them across the seam at y = 63/64
+        spec = GridSpec.strip(1.0, 65, 64)
+        X, Y = spec.nodes()
+        s = SurfaceData(ScalarField(spec, X ** 2 + spec.wrap_dy(Y) ** 2))
+        comps = deform.detect_z(s, tol_z=1.01 / 64 ** 2)
+        assert [(c.kind, len(c.nodes)) for c in comps] == [("Point", 5)]
+        assert comps[0].center.tolist() == [0.0, 0.0]
+        f = deform.assemble_f(s, comps, 0.2)
+        ref = deform.build_point_f((0.0, 0.0), 0.2, spec)
+        assert np.max(np.abs(f.values - ref.values)) <= 1e-15
+
+    def test_column_of_four_nodes_is_a_point_at_every_row(self):
+        # 3 hy is the threshold 3 max(hx, hy) itself: the label must not
+        # depend on how the row's coordinates round
+        from minsurf.invariant_ode import estimate_delta
+        spec = GridSpec.strip(0.8 * estimate_delta(0.0), 33, 122, 4.0)
+        assert spec.hx < spec.hy
+        for j in range(spec.ny):
+            u = np.ones(spec.shape)
+            u[16, (j + np.arange(4)) % spec.ny] = 0.0
+            comps = deform.detect_z(SurfaceData(ScalarField(spec, u)),
+                                    tol_z=1e-12)
+            assert [c.kind for c in comps] == ["Point"], j
+            assert comps[0].diameter == 3 * spec.hy
+
     def test_straight_curve_fails_genericity(self, chart64):
         c = deform.detect_z(chart64)[0]
         verdict = deform.genericity_check(c)

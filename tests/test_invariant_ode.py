@@ -243,11 +243,25 @@ class TestIntegratorFailure:
             with pytest.raises(IntegratorFailure, match="return code -2"):
                 iode.integrate(0.0, 1.0)
 
-    @pytest.mark.parametrize("v0", [163.7, 200.0, 335.0])
-    def test_overflowing_error_norm_is_a_typed_failure(self, v0):
-        # 2 cosh 2v0 / atol, squared, passes float64's range from v0 ~ 163.6
-        with pytest.raises(IntegratorFailure, match="overflows"):
-            iode.integrate(v0, 0.5 * iode.estimate_delta(v0))
+    @pytest.mark.parametrize("v0", [163.7, 200.0], ids=["163_7", "200"])
+    def test_profile_past_the_squares_overflow(self, v0):
+        # 2 cosh 2v0 / atol, squared, passes float64's range from v0 ~ 163.6:
+        # DOPRI5's norms take math.hypot there
+        x = 0.5 * iode.estimate_delta(v0)
+        sol = iode.integrate(v0, x)
+        assert sol.x_max == x
+        assert iode.first_integral_residual(sol) <= 1e-8 * np.cosh(2 * v0)
+
+    def test_largest_v0_is_a_typed_failure(self, recwarn):
+        with pytest.raises(BlowUp):
+            iode.integrate(335.0, 0.5 * iode.estimate_delta(335.0))
+        assert not recwarn.list
+
+    def test_blowup_past_the_squares_overflow(self):
+        # DOPRI5's stiffness test squares g'' differences, which overflowed
+        # float64 here and ended the run as IntegratorFailure
+        with pytest.raises(BlowUp):
+            iode.integrate(160.0, 1.05 * iode.estimate_delta(160.0))
 
     def test_cli_exits_with_diverged_code(self, monkeypatch, tmp_path):
         monkeypatch.setattr(iode, "_MAX_STEPS", 5)
