@@ -25,10 +25,10 @@ The pieces fit together in one pipeline:
 
 numpy is the only runtime dependency; scipy serves the tests as an oracle.
 
-Top-level names resolve lazily so that importing :mod:`minsurf` (in
-particular through the ``minsurf`` console script, which must apply the
-``MINSURF_THREADS`` cap before the numerical stack loads) stays free of
-numpy imports until something is actually used.
+The package level holds only the error classes, so importing
+:mod:`minsurf` loads no numpy: the ``minsurf`` console script must apply
+the ``MINSURF_THREADS`` cap before the numerical stack loads.  Everything
+else is imported from its module.
 
 Diagnostics (such as the per-step Newton trace of ``pde.solve``) go to the
 ``minsurf`` logger, silent unless the caller configures logging.
@@ -36,7 +36,6 @@ Diagnostics (such as the per-step Newton trace of ``pde.solve``) go to the
 
 from __future__ import annotations
 
-import importlib
 import logging
 
 from . import errors as _errors
@@ -45,30 +44,9 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "GridSpec": ".fields",
-    "ScalarField": ".fields",
-    "OperatorField": ".fields",
-}
-
 # every error class, bound now: minsurf.errors imports no numpy
 _ERRORS = {k: v for k, v in vars(_errors).items()
            if isinstance(v, type) and issubclass(v, _errors.MinsurfError)}
 globals().update(_ERRORS)
 
-__all__ = ["__version__", *sorted([*_EXPORTS, *_ERRORS])]
-
-
-def __getattr__(name: str):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(module, __name__), name)
-    globals()[name] = value  # cache so __getattr__ runs once per name
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__all__ = ["__version__", *sorted(_ERRORS)]

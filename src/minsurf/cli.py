@@ -43,8 +43,7 @@ import sys
 
 from .errors import (EXIT_OK, EXIT_USAGE, EXIT_VERIFY, BallExceedsChart,
                      DomainExceedsDelta, MinsurfError, NonGenericCurve,
-                     OverlappingNeighbourhoods, WorkerFailure,
-                     WrongHolonomyClass)
+                     WorkerFailure, WrongHolonomyClass)
 
 # the thread-pool sizes numpy's native libraries read when they load
 _POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -239,28 +238,33 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_zlocus(args) -> int:
-    from .deform import detect_z, genericity_check
+def _describe(c) -> dict:
+    """A zero-set component as `zlocus` reports it: kind, centre, size and
+    node counts, and for a curve the straight-line test."""
+    from .deform import genericity_check
 
-    s = _surface_from_args(args)
-    comps = detect_z(s, tol_z=args.tol_z)
-    items = []
-    for c in comps:
-        item = {
-            "kind": c.kind,
-            "center": [float(c.center[0]), float(c.center[1])],
-            "diameter": c.diameter,
-            "nodes": int(len(c.nodes)),
-            "closed": bool(c.closed),
-            "dropped_nodes": c.dropped,
-            "thinned_nodes": c.thinned,
-        }
-        if c.kind == "Curve":
-            v = genericity_check(c)
-            item["line_deviation"] = v.line_deviation
-            item["generic"] = v.passed
-            item["tol_line"] = v.tol_line
-        items.append(item)
+    item = {
+        "kind": c.kind,
+        "center": [float(c.center[0]), float(c.center[1])],
+        "diameter": c.diameter,
+        "nodes": int(len(c.nodes)),
+        "closed": bool(c.closed),
+        "dropped_nodes": c.dropped,
+        "thinned_nodes": c.thinned,
+    }
+    if c.kind == "Curve":
+        v = genericity_check(c)
+        item["line_deviation"] = v.line_deviation
+        item["generic"] = v.passed
+        item["tol_line"] = v.tol_line
+    return item
+
+
+def cmd_zlocus(args) -> int:
+    from .deform import detect_z
+
+    items = [_describe(c)
+             for c in detect_z(_surface_from_args(args), tol_z=args.tol_z)]
     report = {
         "params": {**_surface_params(args), "tol_z": args.tol_z},
         "components": items,
@@ -273,14 +277,7 @@ def cmd_zlocus(args) -> int:
 def cmd_deform(args) -> int:
     import numpy as np
 
-    from .deform import (
-        assemble_f,
-        build_point_f,
-        check_separation,
-        detect_z,
-        genericity_check,
-        point_distance,
-    )
+    from .deform import assemble_f, check_separation, detect_z
     from .fields import ScalarField
 
     s = _surface_from_args(args)
@@ -290,23 +287,15 @@ def cmd_deform(args) -> int:
     check_separation(s.spec, comps, args.r)
     total = np.zeros(s.spec.shape)
     items = []
-    built = 0
     for c in comps:
-        item = {
-            "kind": c.kind,
-            "center": [float(c.center[0]), float(c.center[1])],
-        }
+        item = _describe(c)
         try:
-            if c.kind == "Curve":
-                verdict = genericity_check(c)
-                item["line_deviation"] = verdict.line_deviation
-                if not verdict:
-                    raise NonGenericCurve(
-                        f"line deviation {verdict.line_deviation:.3e} below "
-                        f"{verdict.tol_line:.3e}")
+            if c.kind == "Curve" and not item["generic"]:
+                raise NonGenericCurve(
+                    f"line deviation {item['line_deviation']:.3e} below "
+                    f"{item['tol_line']:.3e}")
             f = assemble_f(s, [c], args.r)
             total += f.values
-            built += 1
             item["status"] = "built"
             item["sup"] = f.sup()
         except (NonGenericCurve, WrongHolonomyClass, BallExceedsChart) as e:
@@ -315,40 +304,14 @@ def cmd_deform(args) -> int:
             item["detail"] = str(e)
         items.append(item)
 
-    if args.bump_center is not None:
-        # the requested bump must keep clear of every field built above
-        dist = point_distance(s.spec, args.bump_center)
-        need = args.r + args.bump_r
-        for i, (c, item) in enumerate(zip(comps, items)):
-            if item["status"] != "built":
-                continue
-            gap = float(dist[c.nodes[:, 0], c.nodes[:, 1]].min())
-            if gap < need:
-                raise OverlappingNeighbourhoods(
-                    f"requested bump and component {i} are {gap:.4g} apart; "
-                    f"their neighbourhoods need a gap of at least {need:.4g}")
-        f = build_point_f(args.bump_center, args.bump_r, s.spec)
-        total += f.values
-        built += 1
-        items.append({
-            "kind": "Point",
-            "center": [args.bump_center[0], args.bump_center[1]],
-            "status": "built",
-            "requested": True,
-            "sup": f.sup(),
-        })
-
     if args.field_csv:
         ScalarField(s.spec, total).to_csv(args.field_csv)
 
     report = {
         "params": {**_surface_params(args), "r": args.r,
-                   "tol_z": args.tol_z,
-                   "bump_center": list(args.bump_center)
-                   if args.bump_center else None,
-                   "bump_r": args.bump_r},
+                   "tol_z": args.tol_z},
         "components": items,
-        "built": built,
+        "built": sum(item["status"] == "built" for item in items),
         "field_sup": float(np.max(np.abs(total))),
     }
     _emit(args, report)
@@ -590,9 +553,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--tol-z", type=_pos_float, default=1e-8)
     q.add_argument("--r", type=_pos_float, default=0.2,
                    help="bump radius around each component (default 0.2)")
-    q.add_argument("--bump-center", type=_point, default=None,
-                   help="place an extra point bump at X,Y")
-    q.add_argument("--bump-r", type=_pos_float, default=0.45)
     q.add_argument("--field-csv", help="write the assembled field f")
     q.set_defaults(fn=cmd_deform)
 

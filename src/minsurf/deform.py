@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import (
     BallExceedsChart,
+    ClosedZeroCurve,
     ClosednessViolation,
     NonGenericCurve,
     OverlappingNeighbourhoods,
@@ -254,8 +255,10 @@ def _tls_line_deviation(pts: np.ndarray) -> float:
     return float(np.max(np.abs(q @ normal)))
 
 
-def _components(mask: np.ndarray, periodic_y: bool) -> list[np.ndarray]:
-    """8-connected components of a boolean grid as (k, 2) node arrays.
+def _components(mask: np.ndarray, periodic_y: bool,
+                diagonal: bool) -> list[np.ndarray]:
+    """Components of a boolean grid as (k, 2) node arrays, 8-connected when
+    diagonal, else 4-connected.
 
     y is taken mod ny when periodic_y.  Components come in the row-major
     order of their first node, and each lists its nodes in row-major order.
@@ -265,9 +268,10 @@ def _components(mask: np.ndarray, periodic_y: bool) -> list[np.ndarray]:
     ii, jj = np.divmod(flat, ny)
     pos = np.full(mask.size, -1)
     pos[flat] = np.arange(flat.size)
-    # row k: node k's neighbours at 4 of the 8 offsets, which reach every edge
-    i2 = ii[:, None] + (0, 1, 1, 1)
-    j2 = jj[:, None] + (1, -1, 0, 1)
+    # row k: node k's neighbours after it in row-major order: each edge once
+    di, dj = ((0, 1, 1, 1), (1, -1, 0, 1)) if diagonal else ((0, 1), (1, 0))
+    i2 = ii[:, None] + di
+    j2 = jj[:, None] + dj
     if periodic_y:
         j2 %= ny
     ok = (i2 < nx) & (j2 >= 0) & (j2 < ny)
@@ -306,6 +310,11 @@ def detect_z(s: SurfaceData, tol_z: float = TOL_Z_DEFAULT) -> list[ZComponent]:
     seam.  A component is a Point when its diameter (periodic-aware) is at
     most 3 max(hx, hy); otherwise it is a Curve carrying an ordered polyline
     and the max deviation from its total-least-squares line fit.
+
+    Raises ClosedZeroCurve when the zero set encloses nodes: a 4-connected
+    group of {u > tol_z} (the 5-point stencil's neighbours) off the
+    Dirichlet edges, which the discrete maximum principle of
+    Delta_h u = 2 cosh 2u > 0 rules out.
     """
     spec = s.spec
     u = s.u.values
@@ -314,10 +323,19 @@ def detect_z(s: SurfaceData, tol_z: float = TOL_Z_DEFAULT) -> list[ZComponent]:
     mask = u <= tol_z
     if not mask.any():
         return []
+    if not mask.all():  # else ~mask has one component, and it is empty
+        edge = np.ones(spec.shape, dtype=bool)  # the Dirichlet edges
+        edge[1:-1, slice(None) if spec.periodic_y else slice(1, -1)] = False
+        groups = _components(~mask, spec.periodic_y, diagonal=False)
+        enclosed = sum(len(g) for g in groups if not edge[tuple(g.T)].any())
+        if enclosed:
+            raise ClosedZeroCurve(
+                f"the zero set encloses {enclosed} nodes of u > {tol_z:.3g}, "
+                "which no solution of Delta u = 2 cosh 2u has")
 
     h = max(spec.hx, spec.hy)
     out = []
-    for nodes in _components(mask, spec.periodic_y):
+    for nodes in _components(mask, spec.periodic_y, diagonal=True):
         raw = np.column_stack([spec.xs[nodes[:, 0]], spec.ys[nodes[:, 1]]])
         if len(nodes) > 40:
             # certainly a curve: skip the quadratic pairwise scan and use
@@ -1086,15 +1104,16 @@ def assemble_f(s: SurfaceData, components: Sequence[ZComponent],
                r: float) -> ScalarField:
     """Sum of per-component curvature-opening fields on the chart.
 
-    Point components get the centered quadratic bump; curve components that
-    close up inside the chart have trivial developing holonomy there, so the
-    same quadratic (centered at the curve centroid) composed with the chart
-    coordinates works.  A curve that winds around the periodic direction
-    carries translation holonomy equal to the period and cannot be built on
-    the chart itself; such components raise WrongHolonomyClass and must go
-    through the tube constructions.  A curve whose chain walk dropped nodes
-    is branched, and no curve field covers its other branches: it raises
-    NonGenericCurve.
+    Point components get the centered quadratic bump; a curve that does not
+    wind has trivial developing holonomy on the chart, so the same quadratic
+    (centered at the curve centroid) times the bump of the distance to its
+    polyline works.  detect_z refuses enclosed regions, so a closed chain
+    that does not wind ends beside its start on a thick blob.  A curve that
+    winds around the periodic direction carries translation holonomy equal
+    to the period and cannot be built on the chart itself; such components
+    raise WrongHolonomyClass and must go through the tube constructions.
+    A curve whose chain walk dropped nodes is branched, and no curve field
+    covers its other branches: it raises NonGenericCurve.
     """
     spec = s.spec
     check_separation(spec, components, r)

@@ -131,6 +131,10 @@ class NonGenericCurve(MinsurfError):
     """Zero-locus curve too close to a straight line for the construction."""
 
 
+class ClosedZeroCurve(MinsurfError):
+    """Zero set encloses nodes of u > tol_z, which no solution has."""
+
+
 class BallExceedsChart(MinsurfError):
     """Deformation support ball does not fit inside the chart."""
 

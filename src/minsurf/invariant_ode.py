@@ -283,13 +283,18 @@ def integrate(v0: float, x_max: float, rtol: float = 1e-10) -> OdeSolution:
 
     Raises BlowUp(x_reached, g_reached) if the profile leaves the
     representable range first; the abscissa it carries approximates delta(v0).
-    Any other integrator failure warns with DOPRI5's message and raises
-    IntegratorFailure.
+    Raises IntegratorFailure for v0 >= _GUARD_G, where the blow-up guard
+    would stop the first step.  Any other integrator failure warns with
+    DOPRI5's message and raises IntegratorFailure.
     """
     if v0 < 0:
         raise ValueError(f"v0 must be nonnegative, got {v0}")
     if not x_max > 0:
         raise ValueError(f"x_max must be positive, got {x_max}")
+    if v0 >= _GUARD_G:
+        raise IntegratorFailure(
+            f"v0 = {v0:g} is at or past the blow-up guard g = {_GUARD_G:g}, "
+            "where integration stops")
 
     code, rows = _dopri5(_rhs, 0.0, float(v0), 0.0, float(x_max), rtol,
                          rtol * _ATOL_PER_RTOL, _GUARD_G, _MAX_STEPS)

@@ -66,12 +66,12 @@ class TestOde:
         assert rep["delta"] == pytest.approx(2.17e-87, rel=1e-3)
 
     def test_overflowing_profile_is_a_typed_failure(self, capsys):
-        # at v0 = 335, the largest delta(v0) accepts, g'' = 2 cosh 2v0 is
-        # about 1e291 and the step size underflows at once
+        # v0 = 335, the largest delta(v0) accepts, starts past the blow-up
+        # guard g = 300, so integration is refused before the first step
         assert run(["ode", "--v0", "335"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("minsurf ode: BlowUp:")
-        assert err.count("\n") == 1
+        assert err.startswith("minsurf ode: IntegratorFailure:")
+        assert "guard" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("v0", ["0", "1"])
     def test_wrong_slope_fails(self, tmp_path, monkeypatch, v0):
@@ -262,6 +262,22 @@ class TestZlocus:
         assert comp["nodes"] == 45 and comp["dropped_nodes"] == 22
         assert comp["thinned_nodes"] == 0  # the T is one node wide
 
+    def test_enclosed_zero_set_is_refused(self, tmp_path, capsys):
+        # a circle of zeros around (0, 0.5): u = 5 (|p - c| - 0.2)^2 > 0
+        # inside it has an interior maximum, which no solution has
+        from minsurf.fields import GridSpec, ScalarField
+        spec = GridSpec.strip(1.0, 65, 64)
+        X, Y = spec.nodes()
+        csv = tmp_path / "circle.csv"
+        ScalarField(spec, 5.0 * (np.hypot(X, Y - 0.5) - 0.2) ** 2).to_csv(csv)
+        out = tmp_path / "z.json"
+        assert run(["zlocus", "--input", str(csv), "--tol-z", "3e-4",
+                    "--out", str(out)]) == 64
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("minsurf zlocus: ClosedZeroCurve:")
+        assert "481 nodes" in err and err.count("\n") == 1
+
 
 class TestDeform:
     def test_branched_curve_is_skipped(self, tmp_path):
@@ -273,6 +289,18 @@ class TestDeform:
         assert comp["status"] == "skipped"
         assert comp["error"] == "NonGenericCurve"
         assert load(out)["built"] == 0
+
+    def test_items_are_the_zlocus_items_with_a_status(self, tmp_path):
+        csv = chart_csv(tmp_path / "t.csv", T_ZEROS)
+        z, d = tmp_path / "z.json", tmp_path / "d.json"
+        assert run(["zlocus", "--input", str(csv), "--out", str(z)]) == 0
+        assert run(["deform", "--input", str(csv), "--r", "0.1",
+                    "--out", str(d)]) == 0
+        (item,) = load(d)["components"]
+        assert (item.pop("status"), item.pop("error")) == (
+            "skipped", "NonGenericCurve")
+        assert "dropped 22 nodes" in item.pop("detail")
+        assert [item] == load(z)["components"]
 
     def test_overlapping_components_are_refused(self, tmp_path, capsys):
         # two zeros 10 steps apart, r = 0.2: built one at a time, each field
@@ -286,29 +314,16 @@ class TestDeform:
         assert "OverlappingNeighbourhoods" in err
         assert "components 0 and 1" in err
 
-    def test_bump_overlapping_a_built_component_is_refused(
-            self, tmp_path, capsys):
-        # one zero at (0, -0.078125), the requested bump 10 steps away: each
-        # field alone would pass and their sum would be wrong at the zero
+    def test_field_csv_holds_the_built_fields(self, tmp_path):
+        from minsurf.fields import ScalarField
         csv = chart_csv(tmp_path / "one.csv", [(32, 27)])
         out, field = tmp_path / "d.json", tmp_path / "f.csv"
         assert run(["deform", "--input", str(csv), "--r", "0.1",
-                    "--bump-center", "0.0,0.078125", "--bump-r", "0.25",
-                    "--field-csv", str(field), "--out", str(out)]) == 64
-        assert not out.exists() and not field.exists()
-        err = capsys.readouterr().err
-        assert "OverlappingNeighbourhoods" in err
-        assert "requested bump and component 0" in err
-
-    def test_bump_clear_of_built_components_is_built(self, tmp_path):
-        csv = chart_csv(tmp_path / "one.csv", [(32, 27)])
-        out = tmp_path / "d.json"
-        assert run(["deform", "--input", str(csv), "--r", "0.1",
-                    "--bump-center", "0.0,0.3", "--bump-r", "0.2",
-                    "--out", str(out)]) == 0
+                    "--field-csv", str(field), "--out", str(out)]) == 0
         rep = load(out)
-        assert rep["built"] == 2
-        assert [c["status"] for c in rep["components"]] == ["built", "built"]
+        assert [c["status"] for c in rep["components"]] == ["built"]
+        assert rep["built"] == 1
+        assert ScalarField.from_csv(field).sup() == rep["field_sup"] > 0.0
 
     def test_straight_curve_is_skipped_not_fatal(self, tmp_path):
         out = tmp_path / "d.json"
@@ -318,15 +333,6 @@ class TestDeform:
         assert all(c["status"] == "skipped" for c in rep["components"])
         assert all(c["error"] == "NonGenericCurve"
                    for c in rep["components"])
-
-    def test_manual_bump_writes_field(self, tmp_path):
-        out, csv = tmp_path / "d.json", tmp_path / "f.csv"
-        rc = run(["deform", "--bump-center", "0.0,0.5", "--bump-r", "0.45",
-                  "--field-csv", str(csv), "--out", str(out)])
-        assert rc == 0
-        from minsurf.fields import ScalarField
-        f = ScalarField.from_csv(csv)
-        assert f.sup() > 0.0
 
 
 class TestFlow:
@@ -407,7 +413,7 @@ class TestVerify:
     ["ode", "--v0", "0.5"],
     ["solve", "--width", "0.8", "--nx", "33", "--ny", "32"],
     ["zlocus", "--nx", "65", "--ny", "64"],
-    ["deform", "--nx", "65", "--ny", "64", "--bump-center", "0.0,0.5"],
+    ["deform", "--nx", "65", "--ny", "64"],
     ["flow", "--nx", "65", "--ny", "64", "--t", "1e-3"],
 ], ids=lambda argv: argv[0])
 def test_reports_carry_the_envelope_and_repeat_bytewise(tmp_path, argv):
@@ -665,6 +671,17 @@ def test_no_subcommand_imports_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_the_package_loads_no_numpy():
+    # the console script caps the BLAS pools before numpy loads; the
+    # package level holds the error classes only
+    code = ("import sys, minsurf; assert 'numpy' not in sys.modules; "
+            "assert minsurf.ClosedZeroCurve.exit_code == 64")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestUsage:
     def test_no_arguments(self):
         assert run([]) == 64
@@ -679,7 +696,7 @@ class TestUsage:
         ["solve", "--width", "1", "--v0", "nan"],
         ["ode", "--v0", "nan"],
         ["flow", "--t", "inf"],
-        ["deform", "--bump-center", "nan,0.5"],
+        ["flow", "--t", "1e-3", "--bump-center", "nan,0.5"],
     ])
     def test_non_finite_numbers_are_refused_at_parse_time(
             self, argv, tmp_path, capsys, recwarn):

@@ -14,6 +14,7 @@ from minsurf import deform
 from minsurf.geometry import SurfaceData
 from minsurf.errors import (
     BallExceedsChart,
+    ClosedZeroCurve,
     ClosednessViolation,
     NonGenericCurve,
     OverlappingNeighbourhoods,
@@ -79,9 +80,9 @@ def t_chart():
     return SurfaceData(ScalarField(spec, u))
 
 
-def flood_fill_groups(mask, periodic_y):
-    """8-connected components by breadth-first search, in row-major order of
-    their first node, each sorted row-major."""
+def flood_fill_groups(mask, periodic_y, diagonal=True):
+    """8-connected (4-connected unless diagonal) components by breadth-first
+    search, in row-major order of their first node, each sorted row-major."""
     nx, ny = mask.shape
     seen = np.zeros_like(mask)
     groups = []
@@ -96,6 +97,8 @@ def flood_fill_groups(mask, periodic_y):
                 group.append((a, b))
                 for da in (-1, 0, 1):
                     for db in (-1, 0, 1):
+                        if da and db and not diagonal:
+                            continue
                         p, q = a + da, b + db
                         if periodic_y:
                             q %= ny
@@ -117,14 +120,29 @@ class TestDetectZ:
         mask = data.draw(arrays(bool, (nx, ny)))
         assume(mask.any())
         expected = flood_fill_groups(mask, periodic)
-        got = deform._components(mask, periodic)
+        got = deform._components(mask, periodic, diagonal=True)
         assert [g.tolist() for g in got] == [list(map(list, g))
                                              for g in expected]
-        # detect_z builds one component per group from that group's nodes
-        # (a curve keeps its thinned chain only)
+        # the groups of ~mask, 4-connected as the 5-point stencil is; one
+        # off the Dirichlet edges (x, and y on a rectangle) is enclosed.
+        # detect_z labels ~mask only when it has nodes
+        outside = flood_fill_groups(~mask, periodic, diagonal=False)
+        if outside:
+            got = deform._components(~mask, periodic, diagonal=False)
+            assert [g.tolist() for g in got] == [list(map(list, g))
+                                                 for g in outside]
+        dirichlet = {(i, j) for i in range(nx) for j in range(ny)
+                     if i in (0, nx - 1) or not periodic and j in (0, ny - 1)}
+        enclosed = sum(len(g) for g in outside if not dirichlet & set(g))
         spec = GridSpec(nx=nx, ny=ny, hx=0.1, hy=0.1, origin=(0.0, 0.0),
                         periodic_y=periodic)
         u = ScalarField(spec, np.where(mask, 0.0, 1.0))
+        if enclosed:
+            with pytest.raises(ClosedZeroCurve, match=f"encloses {enclosed} "):
+                deform.detect_z(SurfaceData(u), tol_z=0.5)
+            return
+        # detect_z builds one component per group from that group's nodes
+        # (a curve keeps its thinned chain only)
         comps = deform.detect_z(SurfaceData(u), tol_z=0.5)
         owner = {node: k for k, g in enumerate(expected) for node in g}
         hit = []
@@ -162,7 +180,7 @@ class TestDetectZ:
         graph = coo_matrix((np.ones(len(rows)), (rows, cols)),
                            shape=(flat.size,) * 2)
         count, labels = connected_components(graph, directed=False)
-        got = deform._components(mask, periodic)
+        got = deform._components(mask, periodic, diagonal=True)
         assert len(got) == count
         for k, nodes in enumerate(got):
             members = np.flatnonzero(labels == k)
@@ -195,20 +213,15 @@ class TestDetectZ:
     def test_invariant_chart_drops_no_nodes(self, chart64, tol_z):
         assert [c.dropped for c in deform.detect_z(chart64, tol_z)] == [0]
 
-    def test_thinning_is_counted(self):
-        # a circle of radius 0.2 at tol_z 3e-4 is a band of 72 nodes, which
-        # _thin_band cuts to one node per slice; the cut must be reported
+    def test_enclosed_region_is_refused(self):
+        # a circle of radius 0.2 at tol_z 3e-4 is a band of 72 nodes around
+        # 481 nodes of u > tol_z: an interior maximum, which no solution has
         spec = GridSpec.strip(1.0, 65, 64)
         X, Y = spec.nodes()
         u = 5.0 * (np.hypot(X, Y - 0.5) - 0.2) ** 2
-        band = np.argwhere(u <= 3e-4)
-        assert len(band) == 72
-        comps = deform.detect_z(SurfaceData(ScalarField(spec, u)), tol_z=3e-4)
-        assert len(comps) == 1
-        c = comps[0]
-        skeleton = deform._thin_band(band, u, spec)
-        assert c.thinned == len(band) - len(skeleton) > 0
-        assert len(c.nodes) + c.dropped + c.thinned == len(band)
+        assert np.count_nonzero(u <= 3e-4) == 72
+        with pytest.raises(ClosedZeroCurve, match="encloses 481 nodes"):
+            deform.detect_z(SurfaceData(ScalarField(spec, u)), tol_z=3e-4)
 
     def test_thin_curves_and_points_thin_nothing(self, chart64):
         assert [c.thinned for c in deform.detect_z(chart64)] == [0]
@@ -621,7 +634,11 @@ class TestAssembleF:
         assert len(comps) == 1
         c = comps[0]
         assert (c.kind, c.closed, len(c.nodes)) == ("Curve", False, 65)
+        # thinning cut 46 of the band's 111 nodes, and every node is counted
+        band = np.argwhere(u.values <= 1e-3)
+        assert len(band) - len(deform._thin_band(band, u.values, spec)) == 46
         assert (c.thinned, c.dropped) == (46, 0)
+        assert len(c.nodes) + c.dropped + c.thinned == len(band) == 111
 
         r, h = 0.1, 1 / 64
         f = deform.assemble_f(s, comps, r=r).values

@@ -39,6 +39,7 @@ def test_round_trips_through_pickle(cls):
 EXIT_CODES = {
     errors.BallExceedsChart: 64,
     errors.BlowUp: 2,
+    errors.ClosedZeroCurve: 64,
     errors.ClosednessViolation: 1,
     errors.ComplexEigenvalues: 2,
     errors.ConstraintDrift: 2,

@@ -253,8 +253,13 @@ class TestIntegratorFailure:
         assert iode.first_integral_residual(sol) <= 1e-8 * np.cosh(2 * v0)
 
     def test_largest_v0_is_a_typed_failure(self, recwarn):
-        with pytest.raises(BlowUp):
-            iode.integrate(335.0, 0.5 * iode.estimate_delta(335.0))
+        # v0 = 335, the largest delta(v0) accepts, and v0 = 400, where
+        # g'' = 2 cosh 2v0 overflows, start past the blow-up guard g = 300:
+        # both are refused before the first step
+        for v0, x in ((335.0, 0.5 * iode.estimate_delta(335.0)),
+                      (400.0, 1e-200)):
+            with pytest.raises(IntegratorFailure, match="guard g = 300"):
+                iode.integrate(v0, x)
         assert not recwarn.list
 
     def test_blowup_past_the_squares_overflow(self):
