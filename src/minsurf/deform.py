@@ -149,6 +149,10 @@ class ZComponent:
     cylinder is a graph over the unwrapped parameter, not a sawtooth).
     dropped counts the nodes of a curve's skeleton that its chain walk did
     not reach: a branch of the zero set, which no curve field covers.
+    closed is True when a curve's chain winds around the cylinder: the walk
+    ends beside its start and its minimum-image j steps, the closing step
+    included, sum to a nonzero multiple of ny.  It is False on a rectangle,
+    where such steps always sum to 0.
     thinned counts the band nodes that _thin_band removed before the walk
     (0 for points and for curves that are already one node wide).
     """
@@ -197,9 +201,9 @@ def _thin_band(nodes: np.ndarray, u: np.ndarray, spec: GridSpec) -> np.ndarray:
 def _order_chain(nodes: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, bool]:
     """Greedy walk through the 8-neighbour adjacency of a thin component.
 
-    Returns chain-ordered nodes and the closed flag (last adjacent to first).
-    On a branched component the walk follows one path; the caller counts the
-    nodes it leaves out.
+    Returns chain-ordered nodes and the closed flag (the chain winds around
+    the cylinder; see ZComponent).  On a branched component the walk follows
+    one path; the caller counts the nodes it leaves out.
     """
     ny = spec.ny
     node_set = {(int(i), int(j)) for i, j in nodes}
@@ -226,12 +230,15 @@ def _order_chain(nodes: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, bool]:
         if not cand:
             break
         # prefer axis steps over diagonal ones to keep the chain tight
-        cand.sort(key=lambda n: (abs(n[0] - chain[-1][0]) + min(
-            abs(n[1] - chain[-1][1]), ny - abs(n[1] - chain[-1][1])), n))
+        cand.sort(key=lambda n: (abs(n[0] - chain[-1][0])
+                                 + abs(spec.wrap_dj(n[1] - chain[-1][1])), n))
         chain.append(cand[0])
         visited.add(cand[0])
 
-    closed = len(chain) >= 4 and chain[0] in neighbours(*chain[-1])
+    # the j steps of the walk and of its closing step, each the minimum
+    # image, sum to the winding times ny
+    steps = spec.wrap_dj(np.diff([j for _, j in chain], append=chain[0][1]))
+    closed = bool(steps.sum()) and chain[0] in neighbours(*chain[-1])
     return np.array(chain, dtype=int), closed
 
 
@@ -239,8 +246,7 @@ def _chain_points(chain: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Chart coordinates along the chain, unwrapping periodic y steps."""
     pts = np.column_stack([spec.xs[chain[:, 0]], spec.ys[chain[:, 1]]])
     if spec.periodic_y:
-        ny = spec.ny
-        dj = (np.diff(chain[:, 1]) + ny // 2) % ny - ny // 2
+        dj = spec.wrap_dj(np.diff(chain[:, 1]))
         pts[:, 1] = np.cumsum(np.append(pts[0, 1], dj * spec.hy))
     return pts
 
@@ -324,9 +330,15 @@ def detect_z(s: SurfaceData, tol_z: float = TOL_Z_DEFAULT) -> list[ZComponent]:
     if not mask.any():
         return []
     if not mask.all():  # else ~mask has one component, and it is empty
-        edge = np.ones(spec.shape, dtype=bool)  # the Dirichlet edges
+        # a node of ~mask on a row i (constant x) past the zero set's first
+        # or last row reaches an x-edge along its line of constant y: label
+        # ~mask on the zero set's rows and one row either side only, and
+        # count those two rows as edges
+        rows = np.flatnonzero(mask.any(axis=1))
+        band = ~mask[max(rows[0] - 1, 0):rows[-1] + 2]
+        edge = np.ones(band.shape, dtype=bool)
         edge[1:-1, slice(None) if spec.periodic_y else slice(1, -1)] = False
-        groups = _components(~mask, spec.periodic_y, diagonal=False)
+        groups = _components(band, spec.periodic_y, diagonal=False)
         enclosed = sum(len(g) for g in groups if not edge[tuple(g.T)].any())
         if enclosed:
             raise ClosedZeroCurve(
@@ -354,8 +366,7 @@ def detect_z(s: SurfaceData, tol_z: float = TOL_Z_DEFAULT) -> list[ZComponent]:
             # in whole grid steps, so that a diameter of exactly 3 steps
             # meets the threshold whatever the coordinates round to
             di, dj = (nodes[:, None, :] - nodes[None, :, :]).T
-            if spec.periodic_y:
-                dj = (dj + spec.ny // 2) % spec.ny - spec.ny // 2
+            dj = spec.wrap_dj(dj)
             diam = float(np.max(np.hypot(di * spec.hx, dj * spec.hy)))
         if diam <= 3 * h:
             # y offsets from the first node, so that a Point on the
@@ -1048,17 +1059,15 @@ def _three_branch(key, lo: float, hi: float, z, branches) -> np.ndarray:
 # assembly over all components
 
 
-def _polyline_distance(spec: GridSpec, pts: np.ndarray, closed: bool) -> np.ndarray:
-    """Distance from every grid node to a polyline (periodic-aware in y)."""
+def _polyline_distance(spec: GridSpec, pts: np.ndarray) -> np.ndarray:
+    """Distance from every grid node to an open polyline (periodic-aware
+    in y)."""
     X, Y = spec.nodes()
     best = np.full(spec.shape, np.inf)
-    segs = list(zip(pts[:-1], pts[1:]))
-    if closed and len(pts) >= 3:
-        segs.append((pts[-1], pts[0]))
     images = [0.0]
     if spec.periodic_y:
         images = [-spec.period_y, 0.0, spec.period_y]
-    for p, qq in segs:
+    for p, qq in zip(pts[:-1], pts[1:]):
         d = qq - p
         L2 = float(d @ d)
         for off in images:
@@ -1092,26 +1101,17 @@ def check_separation(spec: GridSpec, components: Sequence[ZComponent],
                     f"r-neighbourhoods need a gap of at least {2 * r:.4g}")
 
 
-def _curve_wraps(c: ZComponent, spec: GridSpec) -> bool:
-    """True when the chain's unwrapped y spans a full period."""
-    if not spec.periodic_y:
-        return False
-    span = float(c.points[:, 1].max() - c.points[:, 1].min())
-    return c.closed and span > 0.75 * spec.period_y
-
-
 def assemble_f(s: SurfaceData, components: Sequence[ZComponent],
                r: float) -> ScalarField:
     """Sum of per-component curvature-opening fields on the chart.
 
-    Point components get the centered quadratic bump; a curve that does not
-    wind has trivial developing holonomy on the chart, so the same quadratic
-    (centered at the curve centroid) times the bump of the distance to its
-    polyline works.  detect_z refuses enclosed regions, so a closed chain
-    that does not wind ends beside its start on a thick blob.  A curve that
-    winds around the periodic direction carries translation holonomy equal
-    to the period and cannot be built on the chart itself; such components
-    raise WrongHolonomyClass and must go through the tube constructions.
+    Point components get the centered quadratic bump.  An open curve, one
+    that does not wind, has trivial developing holonomy on the chart, so the
+    same quadratic (centered at the curve centroid) times the bump of the
+    distance to its polyline works.  A closed curve winds around the
+    cylinder (see ZComponent): it carries translation holonomy equal to the
+    period and cannot be built on the chart itself, so it raises
+    WrongHolonomyClass and must go through the tube constructions.
     A curve whose chain walk dropped nodes is branched, and no curve field
     covers its other branches: it raises NonGenericCurve.
     """
@@ -1126,12 +1126,12 @@ def assemble_f(s: SurfaceData, components: Sequence[ZComponent],
             if c.dropped:
                 raise NonGenericCurve(
                     f"curve is branched: its chain walk dropped {c.dropped} nodes")
-            if _curve_wraps(c, spec):
+            if c.closed:
                 raise WrongHolonomyClass(
                     "curve component winds around the periodic direction; "
                     "its holonomy is the chart period, use the tube "
                     "constructions")
-            d = _polyline_distance(spec, c.points, c.closed)
+            d = _polyline_distance(spec, c.points)
             X, Y = spec.nodes()
             dxq = X - c.center[0]
             dyq = spec.wrap_dy(Y - c.center[1])

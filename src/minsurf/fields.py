@@ -92,6 +92,13 @@ class GridSpec:
         p = self.period_y
         return (dy + p / 2) % p - p / 2
 
+    def wrap_dj(self, dj):
+        """Minimum-image j offset, in whole grid steps, in
+        [-(ny//2), (ny-1)//2] on a cylinder; dj itself on a rectangle."""
+        if not self.periodic_y:
+            return dj
+        return (dj + self.ny // 2) % self.ny - self.ny // 2
+
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Full coordinate arrays X, Y of shape (nx, ny)."""
         return np.meshgrid(self.xs, self.ys, indexing="ij")
@@ -182,22 +189,6 @@ class ScalarField:
         if interior_only:
             return float(np.max(np.abs(self.values[self.spec.interior_mask()])))
         return float(np.max(np.abs(self.values)))
-
-    def __add__(self, other):
-        return ScalarField(self.spec, self.values + _coerce(self.spec, other))
-
-    def __sub__(self, other):
-        return ScalarField(self.spec, self.values - _coerce(self.spec, other))
-
-    def __mul__(self, other):
-        if isinstance(other, OperatorField):
-            return NotImplemented
-        return ScalarField(self.spec, self.values * _coerce(self.spec, other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarField(self.spec, -self.values)
 
     def to_csv(self, path) -> None:
         _write_grid_csv(path, self.spec, ["v"], [self.values])

@@ -18,7 +18,6 @@ integral_0^X e^g dx dominates g(X) - v0 (completeness margin).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -284,8 +283,8 @@ def integrate(v0: float, x_max: float, rtol: float = 1e-10) -> OdeSolution:
     Raises BlowUp(x_reached, g_reached) if the profile leaves the
     representable range first; the abscissa it carries approximates delta(v0).
     Raises IntegratorFailure for v0 >= _GUARD_G, where the blow-up guard
-    would stop the first step.  Any other integrator failure warns with
-    DOPRI5's message and raises IntegratorFailure.
+    would stop the first step, and for any other integrator failure, with
+    DOPRI5's message where it has one.
     """
     if v0 < 0:
         raise ValueError(f"v0 must be nonnegative, got {v0}")
@@ -304,11 +303,9 @@ def integrate(v0: float, x_max: float, rtol: float = 1e-10) -> OdeSolution:
     if code == 2 or (code == -3 and g[-1] > _STALL_G):
         raise BlowUp(xs[-1], g[-1])
     if code < 0:
-        if code in _DOPRI_MESSAGES:
-            warnings.warn(f"dopri5: {_DOPRI_MESSAGES[code]}", UserWarning,
-                          stacklevel=2)
+        why = f": {_DOPRI_MESSAGES[code]}" if code in _DOPRI_MESSAGES else ""
         raise IntegratorFailure(
-            f"DOPRI5 failed at x = {xs[-1]:.6g} (return code {code})")
+            f"DOPRI5 failed at x = {xs[-1]:.6g}{why} (return code {code})")
     return OdeSolution(v0=float(v0), xs=xs, g=g, gp=gp)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from minsurf import acceptance
 from minsurf.acceptance import REGISTRY
+from minsurf.fields import ScalarField
 
 NAMES = [name for name, _ in REGISTRY]
 
@@ -60,7 +61,12 @@ def test_criterion_07_fails_for_the_negated_field(monkeypatch):
     # the flows are cached across the session: flow the negated field on an
     # empty cache, and leave none of its flows behind
     bump = acceptance._bump
-    monkeypatch.setattr(acceptance, "_bump", lambda n: -bump(n))
+
+    def negated(n):
+        b = bump(n)
+        return ScalarField(b.spec, -b.values)
+
+    monkeypatch.setattr(acceptance, "_bump", negated)
     acceptance._curvatures.cache_clear()
     try:
         r = _criterion_07()

@@ -110,6 +110,30 @@ def flood_fill_groups(mask, periodic_y, diagonal=True):
     return groups
 
 
+def mask_chart(rows):
+    """u = 0 on the 1s of rows ("0110/..." with row i at x = 0.1 i) and 1
+    elsewhere, on a cylinder of step 0.1."""
+    mask = np.array([[ch == "1" for ch in row] for row in rows.split("/")])
+    spec = GridSpec(nx=mask.shape[0], ny=mask.shape[1], hx=0.1, hy=0.1,
+                    periodic_y=True)
+    return SurfaceData(ScalarField(spec, np.where(mask, 0.0, 1.0)))
+
+
+def chain_winding(c):
+    """How often a curve's chain winds around the cylinder: the sum of its
+    j steps and of the step from its last node back to its first, each
+    reduced to the nearest multiple of ny, over ny.  0 on a rectangle and
+    when the last node is no neighbour of the first."""
+    spec = c.spec
+    i, j = c.nodes.T
+    di, dj = np.diff(i, append=i[0]), np.diff(j, append=j[0])
+    if spec.periodic_y:
+        dj = dj - spec.ny * np.round(dj / spec.ny).astype(int)
+    if abs(di[-1]) > 1 or abs(dj[-1]) > 1:
+        return 0
+    return int(dj.sum()) // spec.ny
+
+
 class TestDetectZ:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -186,6 +210,36 @@ class TestDetectZ:
             members = np.flatnonzero(labels == k)
             assert nodes.tolist() == np.column_stack(
                 np.divmod(flat[members], ny)).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_closed_means_the_chain_winds(self, data):
+        # random masks, half of them crossed by a walk through every j
+        nx = data.draw(st.integers(3, 11))
+        ny = data.draw(st.integers(3, 11))
+        periodic = data.draw(st.booleans())
+        mask = data.draw(arrays(bool, (nx, ny)))
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, nx - 1))
+            steps = data.draw(st.lists(st.integers(-1, 1), min_size=ny,
+                                       max_size=ny))
+            for j, di in enumerate(steps):
+                i = min(max(i + di, 0), nx - 1)
+                mask[i, j] = True
+        assume(mask.any())
+        spec = GridSpec(nx=nx, ny=ny, hx=0.1, hy=0.1, periodic_y=periodic)
+        s = SurfaceData(ScalarField(spec, np.where(mask, 0.0, 1.0)))
+        try:
+            comps = deform.detect_z(s, tol_z=0.5)
+        except ClosedZeroCurve:
+            return
+        for c in comps:
+            if c.kind != "Curve":
+                continue
+            assert c.closed == (chain_winding(c) != 0)
+            if c.closed and not c.dropped:
+                with pytest.raises(WrongHolonomyClass, match="winds"):
+                    deform.assemble_f(s, [c], r=0.01)
 
     def test_invariant_chart_axis_curve(self, chart64):
         comps = deform.detect_z(chart64)
@@ -669,6 +723,47 @@ class TestAssembleF:
         comps = deform.detect_z(chart64)
         with pytest.raises(WrongHolonomyClass):
             deform.assemble_f(chart64, comps, r=0.2)
+
+    def test_winding_chain_on_four_rows_is_refused(self):
+        # the chain's unwrapped y spans 3 of the 4 rows, yet it winds
+        s = mask_chart("1101/0110/0011/0001")
+        comps = deform.detect_z(s, tol_z=0.5)
+        assert [(c.kind, c.nodes.tolist(), c.closed) for c in comps] == [
+            ("Curve", [[0, 0], [0, 1], [1, 2], [0, 3]], True)]
+        assert chain_winding(comps[0]) == 1
+        with pytest.raises(WrongHolonomyClass, match="winds"):
+            deform.assemble_f(s, comps, r=0.01)
+
+    def test_neighbouring_ends_without_winding_make_an_open_arc(self):
+        # a U of 6 nodes: its last node is a neighbour of its first, but
+        # its j steps sum to 0.  Node (0, 0) is 0.1 from the chain but
+        # 0.0707 from the segment that would close it, so at r = 0.1 the
+        # open arc leaves it at 0
+        s = mask_chart("011100/111000/000010/101000/111000")
+        spec, r = s.spec, 0.1
+        curves = [c for c in deform.detect_z(s, tol_z=0.5)
+                  if c.kind == "Curve"]
+        assert [(c.nodes.tolist(), c.closed) for c in curves] == [
+            ([[0, 1], [0, 2], [0, 3], [1, 2], [1, 1], [1, 0]], False)]
+        c = curves[0]
+        assert chain_winding(c) == 0
+        f = deform.assemble_f(s, [c], r=r).values
+        X, Y = spec.nodes()
+        p, q = c.points[:-1], c.points[1:]
+        d = q - p
+        dist = np.full(spec.shape, np.inf)
+        for off in (-spec.period_y, 0.0, spec.period_y):
+            px, py = X[..., None] - p[:, 0], Y[..., None] - off - p[:, 1]
+            t = np.clip((px * d[:, 0] + py * d[:, 1]) / np.sum(d * d, axis=1),
+                        0.0, 1.0)
+            dist = np.minimum(dist, np.hypot(px - t * d[:, 0],
+                                             py - t * d[:, 1]).min(axis=-1))
+        dx, dy = X - c.center[0], spec.wrap_dy(Y - c.center[1])
+        expect = deform.bump_profile(dist, r) * (-dx ** 2 + dy ** 2) / 2
+        assert np.allclose(f, expect, rtol=0.0, atol=1e-15)
+        assert f[0, 0] == 0.0 and dist[0, 0] == pytest.approx(0.1)
+        # the segment that would close the chain passes within r of (0, 0)
+        assert np.hypot(*(c.points[0] + c.points[-1]) / 2) < r
 
     def test_overlap_rejected(self):
         spec = GridSpec.strip(1.0, 65, 64)

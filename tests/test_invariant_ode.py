@@ -237,11 +237,13 @@ class TestAgainstScipy:
 
 
 class TestIntegratorFailure:
-    def test_step_cap_is_a_typed_failure(self, monkeypatch):
+    def test_step_cap_is_a_typed_failure(self, monkeypatch, recwarn):
+        # DOPRI5's message rides on the error, and nothing warns
         monkeypatch.setattr(iode, "_MAX_STEPS", 5)
-        with pytest.warns(UserWarning, match="larger nsteps"):
-            with pytest.raises(IntegratorFailure, match="return code -2"):
-                iode.integrate(0.0, 1.0)
+        with pytest.raises(IntegratorFailure, match=r"larger nsteps is needed "
+                           r"\(return code -2\)"):
+            iode.integrate(0.0, 1.0)
+        assert not recwarn.list
 
     @pytest.mark.parametrize("v0", [163.7, 200.0], ids=["163_7", "200"])
     def test_profile_past_the_squares_overflow(self, v0):
@@ -268,11 +270,16 @@ class TestIntegratorFailure:
         with pytest.raises(BlowUp):
             iode.integrate(160.0, 1.05 * iode.estimate_delta(160.0))
 
-    def test_cli_exits_with_diverged_code(self, monkeypatch, tmp_path):
+    def test_cli_exits_with_diverged_code(self, monkeypatch, tmp_path, capsys,
+                                          recwarn):
+        # one stderr line names the failure and DOPRI5's message
         monkeypatch.setattr(iode, "_MAX_STEPS", 5)
-        with pytest.warns(UserWarning, match="larger nsteps"):
-            rc = main(["ode", "--v0", "0", "--out", str(tmp_path / "r.json")])
+        rc = main(["ode", "--v0", "0", "--out", str(tmp_path / "r.json")])
         assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "IntegratorFailure" in err[0]
+        assert "larger nsteps is needed" in err[0]
+        assert not recwarn.list
 
 
 class TestLengthLowerBound:
