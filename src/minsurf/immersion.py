@@ -17,10 +17,11 @@ satisfy the Gauss-Weingarten system
 whose flatness is exactly the cosh-Gordon equation, so the frame
 (sigma, sigma_x, sigma_y, nu) can be propagated by classical RK4 along grid
 lines: from the chart's centre node along its row, then every column, each
-sweep marching out to both ends at once.  After each step the
-frame is re-projected onto the constraint set (<sigma,sigma> = -1,
-<nu,nu> = 1, <sigma,nu> = 0, nu normal to the tangents), which keeps drift at
-rounding level without changing the order of the method.  normal_flow
+sweep marching out to both ends at once, k RK4 substeps per cell (see
+immerse).  After each step the frame is re-projected onto the constraint
+set (<sigma,sigma> = -1, <nu,nu> = 1, <sigma,nu> = 0, nu normal to the
+tangents), which keeps drift at rounding level without changing the order
+of the method.  normal_flow
 re-imposes only the constraints on what it returns, sigma' and nu': its
 normal is a cross product with the tangents, orthogonal to them by
 construction, and the tangents themselves are discarded unprojected.
@@ -32,6 +33,7 @@ whole-grid pass, so the bits do not depend on the slab size.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +62,7 @@ __all__ = [
 
 _DRIFT_HARD = 1e-6  # abort threshold during integration
 _DRIFT_POST = 1e-9  # guaranteed after re-projection
+_STEP_MAX = 0.1  # largest h e^u of one RK4 substep (_line_tables)
 # chart residual, relative to the equation scale, above which immerse warns
 _WARN_RESIDUAL = 1e-2
 # nodes per row slab of normal_flow, forms_from_immersion and the constraint
@@ -190,8 +193,9 @@ def _drift(sigma, nu):
 
 
 def _rhs_x(frame, e2u, ux, uy):
-    """d/dx of the stacked frame (sigma, sx, sy, nu); the coefficients carry
-    a trailing unit axis and broadcast over the frame's leading axes."""
+    """d/dx of the stacked frame (sigma, sx, sy, nu); the coefficients come
+    marched axis first, as _line_tables gives them (_rhs_y takes u_y, u_x),
+    with a trailing unit axis that broadcasts over the frame's leading axes."""
     sigma, sx, sy, nu = frame
     k = np.empty_like(frame)
     k[0] = sx
@@ -201,7 +205,7 @@ def _rhs_x(frame, e2u, ux, uy):
     return k
 
 
-def _rhs_y(frame, e2u, ux, uy):
+def _rhs_y(frame, e2u, uy, ux):
     sigma, sx, sy, nu = frame
     k = np.empty_like(frame)
     k[0] = sy
@@ -219,72 +223,62 @@ def _rk4_step(frame, h, rhs, coeff0, coeff_half, coeff1):
     return frame + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _half_steps(ts):
-    """Nodes ts[k] at even indices, midpoints 0.5 (ts[k] + ts[k+1]) at odd ones."""
-    out = np.empty(2 * ts.size - 1)
-    out[::2] = ts
-    out[1::2] = 0.5 * (ts[:-1] + ts[1:])
+def _stages(ts, k):
+    """The points of k RK4 substeps per cell of ts: substep node q at index
+    2q, the midpoint after it at 2q + 1; node i of ts is at 2ki."""
+    m = 2 * k
+    out = np.empty(m * (ts.size - 1) + 1)
+    out[::m] = ts
+    for j in range(1, m):
+        out[j::m] = ((m - j) * ts[:-1] + j * ts[1:]) / m
     return out
 
 
-def _patch(k1, k2, fs, ss, g1, g2):
-    """(f, d1 f, d2 f) on the grid g1 x g2 of the bicubic Hermite patch on
-    the knots k1 x k2.  fs = [f | d2 f] stacks the node values and their
-    slopes along axis 1; ss = [d1 f | d1 d2 f] holds the slopes of both
-    along axis 0.  Interpolates along axis 0 first, then along axis 1."""
-    m = fs.shape[1] // 2
-    # along axis 0: the fit and its axis-0 derivative at g1, each with its
-    # axis-1 slopes; then axis-1 knots first, as hermite gathers them
-    pair = np.stack([hermite(k1, fs, ss, g1, nu) for nu in (0, 1)])
-    vals, slopes = (np.ascontiguousarray(pair[..., half].transpose(2, 0, 1))
-                    for half in (np.s_[:m], np.s_[m:]))
-    both = hermite(k2, vals, slopes, g2)
-    return (both[:, 0].T, both[:, 1].T,
-            hermite(k2, vals[:, 0], slopes[:, 0], g2, nu=1).T)
+def _line_tables(knots, ts, f, c, f_m, c_m):
+    """(k, (u, u_m, u_c)): one sweep's substeps per cell and its table, the
+    fit along one family of grid lines, m the marched axis and c the other.
+
+    f and c are the fit's values and c-slopes at the knots of axis m (the
+    first axis; trailing axes are the lines), f_m and c_m their m-slopes.
+    On a grid line the bicubic patch is their cubic Hermite interpolant, so
+    the table is one pass on the stacked (f, c) and one derivative pass on
+    f, at the _stages of the nodes ts.  k = ceil(max h e^u / _STEP_MAX), h
+    the knot spacing, as the frame's rates scale with e^u.
+    """
+    k = math.ceil((knots[1] - knots[0]) * float(np.exp(f.max())) / _STEP_MAX)
+    pts = _stages(ts, k)
+    both = hermite(knots, np.stack([f, c], axis=1),
+                   np.stack([f_m, c_m], axis=1), pts)
+    return k, (both[:, 0], hermite(knots, f, f_m, pts, nu=1), both[:, 1])
 
 
-def _coeff_tables(s: SurfaceData, *grids):
-    """(u, u_x, u_y) of one bicubic fit of the chart, tabulated on each grid.
+def _coeff_tables(s: SurfaceData, order: str):
+    """_line_tables of `order`'s line sweep and sheet sweep.
 
-    Each grid is a pair of increasing coordinate arrays (xs, ys); its table
-    is a tuple of three arrays of shape (len(xs), len(ys)).  The fit is the
-    tensor product of not-a-knot cubic splines (FITPACK's bicubic
-    interpolant), written as the bicubic Hermite patch of the node values
-    and of the spline slopes u_x, u_y and u_xy: two spline solves, along y
-    and then along x.  Each table interpolates first along the axis that
-    leaves the smaller intermediate arrays.  The work is linear in the node
-    count, and the RK4 sweeps only slice arrays.  For periodic grids the
-    sample band is extended by wrap columns before fitting so that
+    The fit is the tensor product of not-a-knot cubic splines (FITPACK's
+    bicubic interpolant), the bicubic Hermite patch of the node values and
+    of the spline slopes u_x, u_y and u_xy: two spline solves, along y and
+    then along x, whose arrays are freed before the sweeps start.  For
+    periodic grids the knots are extended by wrap columns so that
     evaluation near the seam stays interior to the spline.
     """
     spec = s.spec
     u = s.u.values
     xs, ys = spec.xs, spec.ys
-    if spec.periodic_y:
-        wrap = 3
+    wrap = 3 if spec.periodic_y else 0
+    if wrap:
         ys = spec.origin[1] + spec.hy * np.arange(-wrap, spec.ny + wrap)
         u = np.concatenate([u[:, -wrap:], u, u[:, :wrap]], axis=1)
-    # the patch data in both layouts, C-ordered for hermite's gathers
-    u_t = np.ascontiguousarray(u.T)
-    u_yt = spline_slopes(ys, u_t)
-    fs = np.concatenate([u, u_yt.T], axis=1)
-    ss = spline_slopes(xs, fs)  # [u_x | u_xy]
-    fs_t = np.concatenate([u_t, ss[:, :ys.size].T], axis=1)
-    ss_t = np.concatenate([u_yt, ss[:, ys.size:].T], axis=1)
-    tables = []
-    for gx, gy in grids:
-        if gx.size * ys.size <= gy.size * xs.size:
-            tables.append(_patch(xs, ys, fs, ss, gx, gy))
-        else:
-            v, v_y, v_x = _patch(ys, xs, fs_t, ss_t, gy, gx)
-            tables.append((v.T, v_x.T, v_y.T))
-    return tables
-
-
-_E0 = np.array([1.0, 0.0, 0.0, 0.0])
-_E1 = np.array([0.0, 1.0, 0.0, 0.0])
-_E2 = np.array([0.0, 0.0, 1.0, 0.0])
-_E3 = np.array([0.0, 0.0, 0.0, 1.0])
+    u_y = spline_slopes(ys, np.ascontiguousarray(u.T)).T
+    slopes = spline_slopes(xs, np.concatenate([u, u_y], axis=1))
+    u_x, u_xy = slopes[:, :ys.size], slopes[:, ys.size:]
+    if order == "rows_then_columns":
+        j = spec.ny // 2 + wrap
+        return (_line_tables(xs, xs, u[:, j], u_y[:, j], u_x[:, j], u_xy[:, j]),
+                _line_tables(ys, spec.ys, u.T, u_x.T, u_y.T, u_xy.T))
+    i, own = (spec.nx - 1) // 2, np.s_[:, wrap:wrap + spec.ny]
+    return (_line_tables(ys, spec.ys, u[i], u_x[i], u_y[i], u_xy[i]),
+            _line_tables(xs, xs, u[own], u_y[own], u_x[own], u_xy[own]))
 
 
 def immerse(
@@ -304,17 +298,19 @@ def immerse(
     _sweep), so its sequential depth is half the line's length.
 
     The RK4 coefficients (u, u_x, u_y) come from one bicubic fit of the
-    chart, tabulated before the sweeps at every node and midpoint the RK4
-    stages visit: along the centre line, and along the marched direction
-    through every node of that line.  The sweeps then only slice arrays, so
-    the work is linear in the node count.
+    chart, tabulated before the sweeps at every point the RK4 stages visit.
+    These lie on grid lines (the centre line, and the marched lines through
+    its nodes), so each sweep's table is one 1-D Hermite pass; the sweeps
+    only slice arrays, and the work is linear in the node count.  A sweep
+    takes k = ceil(max h e^u / _STEP_MAX) substeps per cell (k > 1 at the
+    edges of wide strips), and keeps frames at grid nodes only.
 
     A chart sampled from a genuine solution carries a discrete-laplacian
     residual of pure O(h^2) truncation size, so the compatibility warning
     only fires above 1e-2 relative to the equation scale, the level no
-    plausible truncation reaches.  The residual ratio, and the largest
-    constraint drift before projection in each sweep, are logged at DEBUG
-    on the "minsurf.immersion" logger.
+    plausible truncation reaches.  The residual ratio, and each sweep's
+    largest constraint drift before projection and its substep count k,
+    are logged at DEBUG on the "minsurf.immersion" logger.
     """
     if order not in ("rows_then_columns", "columns_then_rows"):
         raise ValueError(f"unknown sweep order {order!r}")
@@ -336,24 +332,18 @@ def immerse(
     xs, ys = spec.xs, spec.ys
     i0, j0 = (spec.nx - 1) // 2, spec.ny // 2
     e = float(np.exp(s.u.values[i0, j0]))
-    base = np.stack((_E0, e * _E1, e * _E2, _E3))
+    base = np.diag([1.0, e, e, 1.0])  # (sigma, sigma_x, sigma_y, nu)
 
-    # tables are indexed marched-axis first: 2k is node k, 2k+1 the midpoint;
     # the sheet keeps sigma and nu only
+    line, sheet = _coeff_tables(s, order)
     if order == "rows_then_columns":
-        line, sheet = _coeff_tables(s, (_half_steps(xs), ys[j0:j0 + 1]),
-                                    (xs, _half_steps(ys)))
-        line = tuple(c[:, 0] for c in line)
-        line_frames = _sweep(base, xs, i0, line, _rhs_x, "line")
-        frames = _sweep(line_frames.transpose(1, 0, 2), ys, j0,
-                        tuple(c.T for c in sheet), _rhs_y, "sheet", _ENDS)
+        line_frames = _sweep(base, xs, i0, *line, _rhs_x, "line")
+        frames = _sweep(line_frames.transpose(1, 0, 2), ys, j0, *sheet,
+                        _rhs_y, "sheet", _ENDS)
         sigma, nu = (frames[:, m].transpose(1, 0, 2) for m in (0, 1))
     else:
-        line, sheet = _coeff_tables(s, (xs[i0:i0 + 1], _half_steps(ys)),
-                                    (_half_steps(xs), ys))
-        line = tuple(c[0] for c in line)
-        line_frames = _sweep(base, ys, j0, line, _rhs_y, "line")
-        frames = _sweep(line_frames.transpose(1, 0, 2), xs, i0, sheet,
+        line_frames = _sweep(base, ys, j0, *line, _rhs_y, "line")
+        frames = _sweep(line_frames.transpose(1, 0, 2), xs, i0, *sheet,
                         _rhs_x, "sheet", _ENDS)
         sigma, nu = frames[:, 0], frames[:, 1]
 
@@ -363,60 +353,64 @@ def immerse(
 _ENDS = np.s_[::3]  # sigma and nu of a stacked frame
 
 
-def _sweep(frame0, ts, i0, coeffs, rhs, sweep: str, parts=np.s_[:]):
-    """March frame0 from node i0 of ts out to both ends; return the frames'
-    `parts` as one (len(ts), ...) array in grid order.
+def _sweep(frame0, ts, i0, k, coeffs, rhs, sweep: str, parts=np.s_[:]):
+    """March frame0 from node i0 of ts out to both ends, k RK4 substeps per
+    cell; return the frames' `parts` at the nodes ts as one (len(ts), ...)
+    array in grid order.
 
-    coeffs: (u, u_x, u_y) tables of shape (2 len(ts) - 1, ...), node k at
-    index 2k and the midpoint after it at 2k + 1.  The forward and backward
-    halves stack along a new frame axis and go through one _march in
+    coeffs: _line_tables' (u, u_m, u_c).  The forward and backward halves
+    stack along a new frame axis and go through one _march in
     lockstep, the backward half on negative steps.  That is bitwise the
     forward march of the reflected frame (the marched tangent and its
     coefficient negated, the step positive), as every negation is exact.
-    Where one half is a step longer, it takes that step alone.  Each half
+    Where one half is a cell longer, it takes that cell alone.  Each half
     writes into its own outward view of one preallocated output.  The
     largest drift before projection is logged once per sweep.
     """
     out = np.empty((ts.size, *frame0[parts].shape))
     out[i0] = frame0[parts]
-    lengths = (ts.size - 1 - i0, i0)  # steps forward and backward
+    lengths = (ts.size - 1 - i0, i0)  # cells forward and backward
     n = min(lengths)
+    subs = _stages(ts, k)[::2]
 
-    def halves(dirs, k0, k1):
-        """Nodes, tables and output rows of the halves marching in dirs
-        from step k0 to k1, stacked along axis 1."""
-        return (np.stack([ts[i0::d][k0:k1 + 1] for d in dirs], axis=1),
-                tuple(np.stack([c[2 * i0::d][2 * k0:2 * k1 + 1] for d in dirs],
-                               axis=1) for c in coeffs),
-                [out[i0::d][k0:] for d in dirs])
+    def halves(dirs, a, b):
+        """Substep nodes, tables and output rows of the halves marching in
+        dirs from cell a to cell b, stacked along axis 1."""
+        return (np.stack([subs[k * i0::d][k * a:k * b + 1] for d in dirs],
+                         axis=1),
+                tuple(np.stack([c[2 * k * i0::d][2 * k * a:2 * k * b + 1]
+                                for d in dirs], axis=1) for c in coeffs),
+                [out[i0::d][a:] for d in dirs])
 
     # C order: the stack would keep the transposed layout of the line sweep's
     # output, which makes every vector operation strided, about 2x slower
     frame = np.ascontiguousarray(np.stack([frame0, frame0], axis=1))
-    frame, d_max = _march(frame, *halves((1, -1), 0, n), rhs, sweep, parts)
+    frame, d_max = _march(frame, *halves((1, -1), 0, n), k, rhs, sweep, parts)
     for h, d in enumerate((1, -1)):
-        if lengths[h] > n:  # the longer half's last step, alone
+        if lengths[h] > n:  # the longer half's last cell, alone
             _, tail = _march(frame[:, h:h + 1], *halves((d,), n, lengths[h]),
-                             rhs, sweep, parts)
+                             k, rhs, sweep, parts)
             d_max = max(d_max, tail)
-    _log.debug("%s sweep: max drift before projection %.3e", sweep, d_max)
+    _log.debug("%s sweep: max drift before projection %.3e, %d substeps "
+               "per cell", sweep, d_max, k)
     return out
 
 
-def _march(frame, ts, coeffs, out, rhs, sweep: str, parts=np.s_[:]):
+def _march(frame, ts, coeffs, out, k, rhs, sweep: str, parts=np.s_[:]):
     """March stacked frames by RK4, projecting after every step.
 
     frame: (4, H, ..., 4) frame (sigma, sx, sy, nu) of H lines marching in
     lockstep, line h at ts[0, h]; the axes after H (none for a single line,
-    the line's nodes for a sheet) broadcast.  ts: (n + 1, H) nodes, in
-    marching order (steps may be negative).  coeffs: (u, u_x, u_y) tables of
-    shape (2n + 1, H, ...), node k at index 2k and the midpoint after it at
-    2k + 1; e^{2u} and the trailing unit axis are tabulated once here.
-    out[h][k] receives `parts` of line h's frame at ts[k, h], for k >= 1.
-    Returns the last frame and the largest drift before projection.
+    the line's nodes for a sheet) broadcast.  ts: (n + 1, H) substep nodes,
+    in marching order (steps may be negative).  coeffs: (u, u_m, u_c)
+    tables of shape (2n + 1, H, ...), substep node q at index 2q and the
+    midpoint after it at 2q + 1; e^{2u} and the trailing unit axis are
+    tabulated once here.  out[h][q] receives `parts` of line h's frame at
+    ts[k q, h], the grid nodes, for q >= 1.  Returns the last frame and the
+    largest drift before projection.
     """
-    u, ux, uy = coeffs
-    coeffs = tuple(c[..., None] for c in (np.exp(2.0 * u), ux, uy))
+    u, u_m, u_c = coeffs
+    coeffs = tuple(c[..., None] for c in (np.exp(2.0 * u), u_m, u_c))
     steps = np.diff(ts, axis=0).reshape(-1, ts.shape[1],
                                         *[1] * (frame.ndim - 2))
     d_max = 0.0
@@ -426,14 +420,15 @@ def _march(frame, ts, coeffs, out, rhs, sweep: str, parts=np.s_[:]):
         frame = _rk4_step(frame, h, rhs, c0, cm, c1)
         d, ss = _drift(frame[0], frame[3])
         if d > _DRIFT_HARD:
-            worst = int(np.argmax([_drift(frame[0, k], frame[3, k])[0]
-                                  for k in range(ts.shape[1])]))
+            worst = int(np.argmax([_drift(frame[0, w], frame[3, w])[0]
+                                  for w in range(ts.shape[1])]))
             raise ConstraintDrift(
                 d, where=f"{sweep} sweep at t = {ts[i + 1, worst]:.6g}")
         d_max = max(d_max, d)
         _project(frame, ss)
-        for k, o in enumerate(out):
-            o[i + 1] = frame[parts, k]
+        if (i + 1) % k == 0:  # a grid node
+            for w, o in enumerate(out):
+                o[(i + 1) // k] = frame[parts, w]
     return frame, d_max
 
 

@@ -369,6 +369,15 @@ class TestFlow:
                     "--out", str(tmp_path / "f.json")]) == 0
         assert dead == [True]
 
+    def test_wide_strip_takes_substeps(self, tmp_path):
+        # h e^u reaches 0.17 at the edges of the width 2.4 strip, so its line
+        # sweep takes 2 RK4 substeps per cell; one step per cell drifted
+        # past 1e-6 there
+        out = tmp_path / "f.json"
+        assert run(["flow", "--width", "2.4", "--t", "1e-3",
+                    "--out", str(out)]) == 0
+        assert load(out)["constraint_drift"] <= 1e-9
+
     def test_negative_time_opens_curvatures(self, tmp_path):
         out = tmp_path / "f.json"
         # "=" form keeps argparse from reading the negative value as a flag

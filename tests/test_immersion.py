@@ -84,12 +84,16 @@ def solved_rectangle_on(nx, ny):
     return pde.solve(pde.PdeProblem(spec=spec, boundary=data))
 
 
-def half_steps(ts):
-    return np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])]))
+def stages(ts, k):
+    """The points of k RK4 substeps per cell of ts: substep nodes and the
+    midpoints between them."""
+    return np.interp(np.arange(2 * k * (ts.size - 1) + 1) / (2 * k),
+                     np.arange(ts.size), ts)
 
 
 class TestCoeffTables:
-    """The tabulated (u, u_x, u_y) equal pointwise spline evaluation."""
+    """Each sweep's (u, u_m, u_c) table equals pointwise spline evaluation
+    at the substep nodes and midpoints of its grid lines."""
 
     @staticmethod
     def pointwise(s, xs, ys):
@@ -107,56 +111,60 @@ class TestCoeffTables:
         return [sp.ev(X, Y, dx=dx, dy=dy)
                 for dx, dy in ((0, 0), (1, 0), (0, 1))]
 
+    def worst_errors(self, s, order):
+        """(largest error, max(1, largest value)) of each table of
+        `order`'s line and sheet sweeps, and their substep counts."""
+        spec = s.spec
+        xs, ys = spec.xs, spec.ys
+        i0, j0 = (spec.nx - 1) // 2, spec.ny // 2
+        (k_line, line), (k_sheet, sheet) = imm._coeff_tables(s, order)
+        # each sweep's grid, and whether it marches along y
+        if order == "rows_then_columns":
+            grids = ((stages(xs, k_line), ys[j0:j0 + 1], False),
+                     (xs, stages(ys, k_sheet), True))
+        else:
+            grids = ((xs[i0:i0 + 1], stages(ys, k_line), True),
+                     (stages(xs, k_sheet), ys, False))
+        errs = []
+        for table, (gx, gy, along_y) in zip((line, sheet), grids):
+            u, u_x, u_y = self.pointwise(s, gx, gy)
+            # marched axis first, its derivative second
+            want = [u.T, u_y.T, u_x.T] if along_y else [u, u_x, u_y]
+            for got, w in zip(table, want):
+                assert got.size == w.size
+                errs.append((np.max(np.abs(got.reshape(w.shape) - w)),
+                             max(1.0, float(np.max(np.abs(w))))))
+        return errs, (k_line, k_sheet)
+
     @pytest.mark.parametrize("case", ["periodic", "rectangle"])
     def test_matches_spline_at_nodes_and_midpoints(self, chart32, case):
         s = chart32 if case == "periodic" else solved_rectangle()
-        xs, ys = half_steps(s.spec.xs), half_steps(s.spec.ys)
-        assert ys[-1] == s.spec.ys[-1]  # the last row before the seam
-        (table,) = imm._coeff_tables(s, (xs, ys))
-        for got, want in zip(table, self.pointwise(s, xs, ys)):
-            assert got.shape == (xs.size, ys.size)
-            assert np.max(np.abs(got - want)) <= 1e-13
+        for order in ("rows_then_columns", "columns_then_rows"):
+            errs, ks = self.worst_errors(s, order)
+            assert ks == (1, 1)
+            assert max(err for err, _ in errs) <= 1e-13
 
     @settings(max_examples=60, deadline=None)
-    @given(nx=st.integers(3, 9), ny=st.integers(3, 9),
-           periodic=st.booleans(), data=st.data())
-    def test_matches_fitpack_on_small_grids(self, nx, ny, periodic, data):
-        # 3-node axes fit a parabola; periodic charts fit over wrap columns
+    @given(nx=st.integers(3, 9), ny=st.integers(3, 9), periodic=st.booleans(),
+           order=st.sampled_from(["rows_then_columns", "columns_then_rows"]),
+           data=st.data())
+    def test_matches_fitpack_on_small_grids(self, nx, ny, periodic, order,
+                                            data):
+        # 3-node axes fit a parabola; periodic charts fit over wrap columns;
+        # steep u takes several substeps per cell
         spec = GridSpec(nx=nx, ny=ny, hx=0.7 / (nx - 1), hy=0.4 / ny,
                         origin=(-0.3, 0.1), periodic_y=periodic)
         u = data.draw(arrays(float, (nx, ny),
                              elements=st.floats(-1.0, 1.0)))
         s = SurfaceData(ScalarField(spec, u))
-        top = spec.ys[-1] if periodic else spec.ys[-1] - 1e-9
-        xs = np.sort(data.draw(arrays(float, 5, elements=st.floats(
-            spec.xs[0], spec.xs[-1]))))
-        ys = np.sort(data.draw(arrays(float, 4, elements=st.floats(
-            spec.ys[0], top))))
-        (table,) = imm._coeff_tables(s, (xs, ys))
-        for got, want in zip(table, self.pointwise(s, xs, ys)):
-            scale = max(1.0, float(np.max(np.abs(want))))
-            assert np.max(np.abs(got - want)) <= 1e-12 * scale
-
-    def test_two_node_axis_is_linear_as_in_fitpack(self):
-        # GridSpec needs 3 nodes; the patch itself takes 2 (FITPACK: kx = 1)
-        kx, ky = np.array([0.0, 0.5]), np.array([0.0, 0.2, 0.5, 0.6])
-        u = np.array([[0.3, -0.1, 0.8, 0.2], [1.0, 0.4, -0.5, 0.1]])
-        fs = np.concatenate([u, spline_slopes(ky, u.T).T], axis=1)
-        gx, gy = np.linspace(0.0, 0.5, 7), np.linspace(0.0, 0.6, 5)
-        got = imm._patch(kx, ky, fs, spline_slopes(kx, fs), gx, gy)
-        sp = RectBivariateSpline(kx, ky, u, kx=1, ky=3)
-        # FITPACK differentiates only below the degree: the x-slope of the
-        # linear axis is the difference quotient of its two ends
-        want = (sp(gx, gy), np.broadcast_to(
-            (sp(kx[1:], gy) - sp(kx[:1], gy)) / 0.5, got[1].shape),
-            sp(gx, gy, dy=1))
-        for g, w in zip(got, want):
-            assert np.max(np.abs(g - w)) <= 1e-13
+        errs, _ = self.worst_errors(s, order)
+        assert all(err <= 1e-12 * scale for err, scale in errs)
 
     @pytest.mark.parametrize("order", ["rows_then_columns",
                                        "columns_then_rows"])
     def test_spline_evaluations_do_not_grow_with_the_grid(
             self, sol0, order, monkeypatch):
+        # one value pass and one derivative pass per sweep table
         calls = []
         real = imm.hermite
 
@@ -171,7 +179,20 @@ class TestCoeffTables:
             calls.clear()
             imm.immerse(s, order=order)
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+        assert counts == [4, 4]
+
+    def test_immerse_peak_memory(self, sol0):
+        # the tables of both sweeps, each sweep's stacked halves and the
+        # 4.2 MB output peak near 12.6 MB; the spline arrays are freed
+        # before the sweeps start
+        s = periodic_chart(sol0, 256)
+        tracemalloc.start()
+        try:
+            imm.immerse(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13.5 * 2 ** 20
 
 
 class TestImmerse:
@@ -236,6 +257,8 @@ class TestImmerse:
         assert 0 < rel < 1e-2
         assert line[0] == "line" and sheet[0] == "sheet"
         assert 0 < line[1] <= 1e-6 and 0 < sheet[1] <= 1e-6
+        # h e^u is at most 0.04 here: one RK4 step per cell
+        assert line[2] == sheet[2] == 1
         assert gram_min > 0
 
     def test_layer_is_silent_by_default(self, chart32, capfd):
@@ -273,14 +296,20 @@ class TestImmerse:
         spec = chart64.spec
         xs = spec.xs
         i0, j0 = (spec.nx - 1) // 2, spec.ny // 2
-        (line,) = imm._coeff_tables(
-            chart64, (imm._half_steps(xs), spec.ys[j0:j0 + 1]))
+        # the row's table from its own fit: the y-slopes of the periodic
+        # spline over three wrap columns, then the x-slopes along the row
+        u = chart64.u.values[:, np.r_[-3:spec.ny, :3]]
+        yk = spec.origin[1] + spec.hy * np.arange(-3, spec.ny + 3)
+        row, row_y = u[:, j0 + 3], spline_slopes(yk, u.T)[j0 + 3]
+        k, line = imm._line_tables(xs, xs, row, row_y, spline_slopes(xs, row),
+                                   spline_slopes(xs, row_y))
+        assert k == 1
         e = np.exp(chart64.u.values[i0, j0])
         base = np.diag([1.0, e, e, 1.0])
         out = np.empty((i0 + 1, 4, 4))
         out[0] = base
         imm._march(base[:, None], xs[i0::-1, None],
-                   tuple(c[2 * i0::-1] for c in line), [out], imm._rhs_x,
+                   tuple(c[2 * i0::-1] for c in line), [out], k, imm._rhs_x,
                    "line")
         assert np.max(np.abs(out[:, 0] - imm64.sigma[i0::-1, j0])) <= 1e-14
         assert np.max(np.abs(out[:, 3] - imm64.nu[i0::-1, j0])) <= 1e-14
@@ -297,7 +326,7 @@ class TestImmerse:
         with caplog.at_level(logging.DEBUG, logger="minsurf.immersion"):
             g = imm.immerse(s, order=order)
         sweeps = [r.args[0] for r in caplog.records
-                  if r.name == "minsurf.immersion" and len(r.args) == 2]
+                  if r.name == "minsurf.immersion" and len(r.args) == 3]
         assert sweeps == ["line", "sheet"]
         assert g.constraint_drift() <= 1e-9
         spec, eu = s.spec, np.exp(s.u.values)
@@ -319,7 +348,7 @@ class TestImmerse:
         with caplog.at_level(logging.DEBUG, logger="minsurf.immersion"):
             imm.immerse(s)
         drift = {r.args[0]: r.args[1] for r in caplog.records
-                 if r.name == "minsurf.immersion" and len(r.args) == 2}
+                 if r.name == "minsurf.immersion" and len(r.args) == 3}
         monkeypatch.setattr(imm, "_DRIFT_HARD", 0.9 * drift["line"])
         with pytest.raises(ConstraintDrift,
                            match=r"line sweep at t = -0\.8\)") as exc:
@@ -347,12 +376,34 @@ class TestImmerse:
         with caplog.at_level(logging.DEBUG, logger="minsurf.immersion"):
             imm.immerse(chart32, order=order)
         drifts = {r.args[0]: r.args[1] for r in caplog.records
-                  if r.name == "minsurf.immersion" and len(r.args) == 2}
+                  if r.name == "minsurf.immersion" and len(r.args) == 3}
         sweep = max(drifts, key=drifts.get)
         monkeypatch.setattr(imm, "_DRIFT_HARD", drifts[sweep] / 2)
         with pytest.raises(ConstraintDrift, match=f"{sweep} sweep") as exc:
             imm.immerse(chart32, order=order)
         assert drifts[sweep] / 2 < exc.value.drift <= drifts[sweep]
+
+    def test_substeps_agree_with_one_step_per_cell_to_fourth_order(
+            self, sol0, caplog, monkeypatch):
+        # _STEP_MAX lowered below max h e^u, so both sweeps take 2 RK4
+        # substeps per cell; the gap to 1 step is the O(h^4) RK4 error
+        gaps = []
+        for n in (32, 64):
+            s = periodic_chart(sol0, n)
+            one = imm.immerse(s)
+            with monkeypatch.context() as mp:
+                mp.setattr(imm, "_STEP_MAX",
+                           0.75 * float(np.exp(s.u.values.max())) / n)
+                with caplog.at_level(logging.DEBUG, logger="minsurf.immersion"):
+                    caplog.clear()
+                    two = imm.immerse(s)
+            ks = [r.args[2] for r in caplog.records
+                  if r.name == "minsurf.immersion" and len(r.args) == 3]
+            assert ks == [2, 2]
+            assert two.constraint_drift() <= 1e-9
+            gaps.append(np.max(np.abs(two.sigma - one.sigma)))
+        assert 0 < gaps[0] <= 1e-7
+        assert 12.0 <= gaps[0] / gaps[1] <= 20.0
 
     def test_incompatible_chart_raises(self):
         spec = GridSpec.strip(1.0, 65, 64)
